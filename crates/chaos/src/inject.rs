@@ -109,12 +109,11 @@ impl Injector {
                 }
             }
             FaultKind::PageMapCorrupt { pick, mode } => {
-                let Some(map) = m.page_map() else {
+                let Some(map) = m.page_map_mut() else {
                     self.log.push((now, format!("{kind} (no page map; no-op)")));
                     return;
                 };
                 let victims: Vec<(u32, u32)> = map
-                    .borrow()
                     .resident_pages()
                     .into_iter()
                     .filter(|&(page, _)| page >> LOCAL_PAGE_BITS == victim)
@@ -125,7 +124,6 @@ impl Injector {
                     return;
                 }
                 let (page, frame) = victims[pick as usize % victims.len()];
-                let mut map = map.borrow_mut();
                 match mode {
                     PageCorruption::FrameFlip { bit } => {
                         map.map(page, frame ^ (1 << (bit as u32 % LOCAL_PAGE_BITS)));
@@ -137,22 +135,21 @@ impl Injector {
                         map.unmap(page);
                     }
                 }
-                drop(map);
                 self.log.push((now, format!("{kind} on page {page:#x}")));
                 return;
             }
             FaultKind::SpuriousInterrupt { device } => {
-                if let Some(ctrl) = m.int_ctrl() {
-                    ctrl.borrow_mut().raise(device);
+                if let Some(ctrl) = m.int_ctrl_mut() {
+                    ctrl.raise(device);
                 }
             }
             FaultKind::DroppedInterrupt => {
-                if let Some(ctrl) = m.int_ctrl() {
-                    ctrl.borrow_mut().clear(0);
+                if let Some(ctrl) = m.int_ctrl_mut() {
+                    ctrl.clear(0);
                 }
             }
             FaultKind::MmioAckGarbage { value } => {
-                m.mem_mut().write(INTCTRL_ADDR, value);
+                m.bus_write(INTCTRL_ADDR, value);
             }
             FaultKind::MmioMapGarbage {
                 page_low,
@@ -160,8 +157,8 @@ impl Injector {
             } => {
                 let page = (victim << LOCAL_PAGE_BITS) | u32::from(page_low);
                 let frame = (victim << LOCAL_PAGE_BITS) | u32::from(frame_low);
-                m.mem_mut().write(MAPUNIT_ADDR, page);
-                m.mem_mut().write(MAPUNIT_ADDR + 1, frame);
+                m.bus_write(MAPUNIT_ADDR, page);
+                m.bus_write(MAPUNIT_ADDR + 1, frame);
             }
         }
         self.log.push((now, kind.to_string()));

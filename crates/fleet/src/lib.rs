@@ -22,11 +22,13 @@
 //! and skew mixes). Host timing never leaks into a result; latency is
 //! measured outside the result stream by the `mips-serve` front-end.
 //!
-//! Migrating whole machines across workers is what forced the `Send`
-//! audit of `mips-sim`/`mips-os`: the shared device handles
-//! (`Rc<RefCell<…>>`) became [`mips_sim::Shared`] cells, and every
-//! MMIO device boxed into a machine is `Send`. The compile-time
-//! assertions in `tests/send.rs` pin that property.
+//! Migrating whole machines across workers needs every machine and
+//! kernel to be `Send`. That holds by plain ownership: a
+//! [`mips_sim::Machine`] owns its devices (page map, interrupt
+//! controller, NIC, console) as ordinary fields, and hosts reach them
+//! only through the machine, so no device sits behind a handle or a
+//! lock. The compile-time assertions in `tests/send.rs` pin that
+//! property.
 //!
 //! ## Pieces
 //!

@@ -21,8 +21,7 @@
 
 use crate::fabric::{Fabric, FabricConfig, FabricStats, FaultAction};
 use mips_os::{Kernel, KernelRun, NodeCheckpoint, OsError, RunReport};
-use mips_sim::nic::Nic;
-use mips_sim::{Frame, Shared};
+use mips_sim::Frame;
 
 /// A reserved guest-physical write-ahead-log segment the host
 /// preserves across [`Cluster::kill_node`] restores. The guest
@@ -72,7 +71,6 @@ impl Default for ClusterConfig {
 
 struct Node {
     run: KernelRun,
-    nic: Shared<Nic>,
     checkpoint: NodeCheckpoint,
 }
 
@@ -141,16 +139,12 @@ impl Cluster {
                 .nic()
                 .unwrap_or_else(|| panic!("cluster node {i}: KernelConfig::nic not set"));
             assert_eq!(
-                nic.borrow().node(),
+                nic.node(),
                 i as u32,
                 "cluster node {i}: NIC node id must equal its position"
             );
             let checkpoint = run.checkpoint().expect("cluster nodes run unsupervised");
-            nodes.push(Node {
-                run,
-                nic,
-                checkpoint,
-            });
+            nodes.push(Node { run, checkpoint });
         }
         let restarts = vec![0; nodes.len()];
         Ok(Cluster {
@@ -261,7 +255,12 @@ impl Cluster {
             }
         }
         for node in &mut self.nodes {
-            for frame in node.nic.borrow_mut().collect() {
+            let nic = node
+                .run
+                .machine_mut()
+                .nic_mut()
+                .expect("cluster nodes have a NIC");
+            for frame in nic.collect() {
                 match faults(self.round, &frame) {
                     FaultAction::Deliver => self.fabric.send(frame),
                     FaultAction::Drop => {}
@@ -283,7 +282,7 @@ impl Cluster {
         }
         let nodes = &mut self.nodes;
         self.fabric
-            .exchange(&mut |dst, frame| nodes[dst as usize].nic.borrow_mut().deliver(frame));
+            .exchange(&mut |dst, frame| nodes[dst as usize].run.machine_mut().nic_deliver(frame));
         self.round += 1;
         if self.round.is_multiple_of(self.cfg.checkpoint_every) {
             for node in &mut self.nodes {

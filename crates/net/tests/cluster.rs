@@ -22,6 +22,15 @@ fn clean_run(kernels: &[Kernel]) -> mips_net::ClusterReport {
     report
 }
 
+/// Compile-time proof that a whole cluster — every node's machine with
+/// its devices, the fabric, the checkpoints — moves across threads,
+/// as the fleet-parallel runs below require.
+#[test]
+fn a_cluster_crosses_threads() {
+    fn assert_send<T: Send>() {}
+    assert_send::<Cluster>();
+}
+
 #[test]
 fn ping_echo_completes_with_the_expected_output() {
     let kernels = ping_echo_kernels(Engine::Reference).unwrap();

@@ -18,10 +18,7 @@ use crate::layout::{self, pcb, sys};
 use crate::supervise::{LoopState, RecoveryEvent, Supervisor, SupervisorConfig};
 use mips_asm::assemble;
 use mips_core::{Instr, Program, Reg, Target, TrapPiece};
-use mips_sim::machine::CONSOLE_ADDR;
-use mips_sim::{
-    Cause, Engine, Machine, MachineConfig, Mmio, PageMap, Shared, SimError, Snapshot, Surprise,
-};
+use mips_sim::{Cause, Engine, Machine, MachineConfig, PageMap, SimError, Snapshot, Surprise};
 use std::fmt;
 
 /// The guest kernel's source, assembled at [`kernel_program`].
@@ -97,8 +94,9 @@ pub struct KernelConfig {
     pub supervisor: Option<SupervisorConfig>,
     /// Attach a NIC at this fabric node address. The guest gains the
     /// `send`/`recv`/`poll` syscalls' device, and the host fabric
-    /// reaches the rings through [`KernelRun::machine`]'s
-    /// [`Machine::nic`] handle. `None` (the default) boots no NIC.
+    /// reaches the rings through [`KernelRun::machine_mut`]
+    /// ([`Machine::nic_mut`], [`Machine::nic_deliver`]). `None` (the
+    /// default) boots no NIC.
     pub nic: Option<u32>,
 }
 
@@ -310,19 +308,6 @@ pub struct Kernel {
     procs: Vec<Proc>,
 }
 
-/// Console device shared with the machine: the kernel writes
-/// `(pid << 8) | byte` words, the host demultiplexes afterwards.
-struct MuxConsole(Shared<Vec<u32>>);
-
-impl Mmio for MuxConsole {
-    fn read(&mut self, _off: u32) -> u32 {
-        0
-    }
-    fn write(&mut self, _off: u32, value: u32) {
-        self.0.borrow_mut().push(value);
-    }
-}
-
 /// Which cost bucket a kernel section label belongs to.
 const SECTIONS: [(&str, Bucket); 11] = [
     ("dispatch", Bucket::SaveRestore),
@@ -513,9 +498,9 @@ impl Kernel {
         if let Some(node) = self.config.nic {
             m.attach_nic(node);
         }
-        let console: Shared<Vec<u32>> = Shared::new(Vec::new());
-        m.mem_mut()
-            .add_device(CONSOLE_ADDR, 1, Box::new(MuxConsole(console.clone())));
+        // The kernel writes `(pid << 8) | byte` console words; the host
+        // demultiplexes them afterwards.
+        m.attach_console();
 
         // Segmentation geometry is global; the kernel switches spaces
         // by rewriting only the pid register.
@@ -562,12 +547,11 @@ impl Kernel {
         let sup = self
             .config
             .supervisor
-            .map(|cfg| Supervisor::new(cfg, self.procs.len(), klen, console.clone()));
+            .map(|cfg| Supervisor::new(cfg, self.procs.len(), klen));
 
         Ok(KernelRun {
             m,
             klen,
-            console,
             names: self.procs.iter().map(|p| p.name.clone()).collect(),
             config: self.config.clone(),
             sections,
@@ -591,7 +575,6 @@ impl Kernel {
 pub struct KernelRun {
     m: Machine,
     klen: u32,
-    console: Shared<Vec<u32>>,
     names: Vec<String>,
     config: KernelConfig,
     sections: Vec<(u32, Bucket)>,
@@ -850,7 +833,7 @@ impl KernelRun {
         }
         Some(NodeCheckpoint {
             snap: self.m.snapshot(),
-            console_len: self.console.borrow().len(),
+            console_len: self.m.console().len(),
             st: self.st.clone(),
             panic: self.panic.clone(),
             done: self.done,
@@ -868,7 +851,9 @@ impl KernelRun {
     /// (it was taken from a different node shape).
     pub fn restore(&mut self, cp: &NodeCheckpoint) -> Result<(), OsError> {
         self.m.restore(&cp.snap).map_err(OsError::Sim)?;
-        self.console.borrow_mut().truncate(cp.console_len);
+        if let Some(console) = self.m.console_mut() {
+            console.truncate(cp.console_len);
+        }
         self.st = cp.st.clone();
         self.panic = cp.panic.clone();
         self.done = cp.done;
@@ -892,8 +877,8 @@ impl KernelRun {
             recvs: mem.peek(layout::KRECVS) as u64,
         };
         let mut outputs: Vec<Vec<u8>> = vec![Vec::new(); self.names.len() + 1];
-        let mut stream = Vec::with_capacity(self.console.borrow().len());
-        for &word in self.console.borrow().iter() {
+        let mut stream = Vec::with_capacity(self.m.console().len());
+        for &word in self.m.console() {
             let pid = (word >> 8) as usize;
             let byte = (word & 0xff) as u8;
             stream.push((pid as u32, byte));

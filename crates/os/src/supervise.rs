@@ -42,7 +42,7 @@
 use crate::kernel::SystemsCost;
 use crate::layout::{self, pcb};
 use mips_core::word::ADDR_BITS;
-use mips_sim::{Machine, Shared, SimError, Snapshot, PAGE_WORDS};
+use mips_sim::{Machine, SimError, Snapshot, PAGE_WORDS};
 
 /// When and how often a killed process comes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,7 +189,6 @@ pub(crate) struct Supervisor {
     cfg: SupervisorConfig,
     nprocs: usize,
     klen: u32,
-    console: Shared<Vec<u32>>,
     booted: bool,
     next_ckpt: u64,
     ckpt: Vec<Option<ProcCheckpoint>>,
@@ -205,17 +204,11 @@ pub(crate) struct Supervisor {
 }
 
 impl Supervisor {
-    pub(crate) fn new(
-        cfg: SupervisorConfig,
-        nprocs: usize,
-        klen: u32,
-        console: Shared<Vec<u32>>,
-    ) -> Supervisor {
+    pub(crate) fn new(cfg: SupervisorConfig, nprocs: usize, klen: u32) -> Supervisor {
         Supervisor {
             cfg,
             nprocs,
             klen,
-            console,
             booted: false,
             next_ckpt: 0,
             ckpt: vec![None; nprocs + 1],
@@ -270,7 +263,7 @@ impl Supervisor {
         self.booted = true;
         let ram = m.mem().snapshot();
         let cur = m.mem().peek(layout::CURRENT);
-        let console = self.console.borrow();
+        let console = m.console();
         for pid in 1..=self.nprocs as u32 {
             let idx = pid as usize;
             if self.quarantined[idx] || self.restart_due[idx].is_some() {
@@ -298,10 +291,9 @@ impl Supervisor {
                 user_spent: st.user_spent[idx],
             });
         }
-        drop(console);
         self.global = Some(GlobalCheckpoint {
             snap: m.snapshot(),
-            console: self.console.borrow().clone(),
+            console: console.to_vec(),
             cost: st.cost,
             user_spent: st.user_spent.clone(),
             watchdog_kills: st.watchdog_kills.clone(),
@@ -389,8 +381,7 @@ impl Supervisor {
         for &(a, w) in &ck.words {
             m.mem_mut().poke(a, w);
         }
-        if let Some(pm) = m.page_map() {
-            let mut pm = pm.borrow_mut();
+        if let Some(pm) = m.page_map_mut() {
             let page_shift = PAGE_WORDS.trailing_zeros();
             let victim: Vec<u32> = pm
                 .resident_pages()
@@ -405,14 +396,16 @@ impl Supervisor {
         // Siblings keep every console word; the victim keeps only its
         // checkpoint prefix. Relative order is preserved.
         let mut kept = 0usize;
-        self.console.borrow_mut().retain(|&w| {
-            if (w >> 8) != pid {
-                true
-            } else {
-                kept += 1;
-                kept <= ck.console_words
-            }
-        });
+        if let Some(console) = m.console_mut() {
+            console.retain(|&w| {
+                if (w >> 8) != pid {
+                    true
+                } else {
+                    kept += 1;
+                    kept <= ck.console_words
+                }
+            });
+        }
         // The victim's post-checkpoint cycles are discarded work.
         let waste = st.user_spent[idx] - ck.user_spent;
         st.cost.user -= waste;
@@ -462,7 +455,9 @@ impl Supervisor {
         let now = m.profile().instructions;
         m.restore(&g.snap)?;
         m.disarm_snapshot();
-        *self.console.borrow_mut() = g.console;
+        if let Some(console) = m.console_mut() {
+            *console = g.console;
+        }
         st.cost = g.cost;
         st.user_spent = g.user_spent;
         st.watchdog_kills = g.watchdog_kills;

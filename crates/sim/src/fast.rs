@@ -450,7 +450,7 @@ impl Machine {
         // these (special-register writes, `rfe`, MMIO attach) is a slow
         // op or a device access, both of which end the chunk.
         let ovf_on = self.surprise.ovf_enable();
-        let dev_floor = self.mem.device_floor();
+        let dev_floor = self.device_floor();
         let map_on = self.surprise.map_enable();
         let mut left = n;
         while left > 0 {
@@ -817,9 +817,9 @@ impl Machine {
     /// Translate + device-window check with no side effects beyond the
     /// (idempotent) fault-address latch. `None` means bail.
     #[inline(always)]
-    fn fast_pa(&self, va: u32, dev_floor: u32) -> Option<u32> {
+    fn fast_pa(&mut self, va: u32, dev_floor: u32) -> Option<u32> {
         let pa = self.translate(va).ok()?;
-        if pa >= dev_floor && self.mem.is_device(pa) {
+        if pa >= dev_floor && self.is_device(pa) {
             return None;
         }
         Some(pa)

@@ -29,10 +29,10 @@ use crate::error::SimError;
 use crate::except::Cause;
 use crate::fast::{Engine, FastProgram};
 use crate::hazard::{Hazard, HazardKind};
-use crate::mem::{IntCtrl, IntCtrlPort, MapUnitPort, Memory};
+use crate::mem::{IntCtrl, Memory};
 use crate::mmu::{PageMap, Segmentation};
+use crate::nic::{Frame, Nic};
 use crate::profile::Profile;
-use crate::shared::Shared;
 use crate::surprise::Surprise;
 use mips_core::delay::{BRANCH_DELAY, INDIRECT_DELAY};
 use mips_core::word::MEM_WORDS;
@@ -218,10 +218,18 @@ pub struct Machine {
     pub(crate) load_in_flight: Option<(Reg, u32)>,
     pub(crate) pending: PendingSet,
     pub(crate) mem: Memory,
-    pub(crate) page_map: Option<Shared<PageMap>>,
-    pub(crate) fault_addr: Shared<u32>,
-    pub(crate) int_ctrl: Option<Shared<IntCtrl>>,
-    pub(crate) nic: Option<Shared<crate::nic::Nic>>,
+    /// The off-chip page map, when the map unit is attached.
+    pub(crate) page_map: Option<PageMap>,
+    /// The map unit's fault-address latch (the mapped address of the
+    /// last translation fault).
+    pub(crate) fault_addr: u32,
+    /// The map unit's page-select latch: the virtual page a following
+    /// map write binds.
+    pub(crate) map_select: u32,
+    pub(crate) int_ctrl: Option<IntCtrl>,
+    pub(crate) nic: Option<Nic>,
+    /// The console's word log, when the console is attached.
+    pub(crate) console: Option<Vec<u32>>,
     pub(crate) irq_line: bool,
     pub(crate) timer: Option<Timer>,
     pub(crate) halted: bool,
@@ -286,9 +294,11 @@ impl Machine {
             pending: PendingSet::default(),
             mem: Memory::new(),
             page_map: None,
-            fault_addr: Shared::new(0),
+            fault_addr: 0,
+            map_select: 0,
             int_ctrl: None,
             nic: None,
+            console: None,
             irq_line: false,
             timer: None,
             halted: false,
@@ -370,34 +380,21 @@ impl Machine {
         self.cert_elided
     }
 
-    /// Installs the off-chip page-map unit and its MMIO port. Mapping
+    /// Installs the off-chip page-map unit and its MMIO window. Mapping
     /// takes effect when the surprise register's map-enable bit is set.
-    pub fn attach_page_map(&mut self, map: PageMap) -> Shared<PageMap> {
-        let shared = Shared::new(map);
-        self.mem.add_device(
-            MAPUNIT_ADDR,
-            3,
-            Box::new(MapUnitPort::new(shared.clone(), self.fault_addr.clone())),
-        );
-        self.page_map = Some(shared.clone());
-        shared
+    pub fn attach_page_map(&mut self, map: PageMap) {
+        self.page_map = Some(map);
     }
 
-    /// Installs the external interrupt controller and its MMIO port.
-    pub fn attach_int_ctrl(&mut self) -> Shared<IntCtrl> {
-        let ctrl = IntCtrl::new();
-        self.mem
-            .add_device(INTCTRL_ADDR, 1, Box::new(IntCtrlPort(ctrl.clone())));
-        self.int_ctrl = Some(ctrl.clone());
-        ctrl
+    /// Installs the external interrupt controller and its MMIO window.
+    pub fn attach_int_ctrl(&mut self) {
+        self.int_ctrl = Some(IntCtrl::default());
     }
 
-    /// Installs the console output peripheral; returns the shared byte
-    /// buffer it writes into.
-    pub fn attach_console(&mut self) -> Shared<Vec<u8>> {
-        let (port, buf) = crate::mem::ConsolePort::new();
-        self.mem.add_device(CONSOLE_ADDR, 1, Box::new(port));
-        buf
+    /// Installs the console output peripheral; what the guest writes to
+    /// it is read back with [`Machine::console`].
+    pub fn attach_console(&mut self) {
+        self.console = Some(Vec::new());
     }
 
     /// Asserts/deasserts the raw interrupt line (alternative to a
@@ -414,44 +411,54 @@ impl Machine {
     /// at the next enabled instruction boundary. Periods shorter than the
     /// software's dispatch-plus-handler path will starve user progress —
     /// exactly as on the real machine.
-    pub fn attach_timer(&mut self, period: u64, device: u32) -> Shared<IntCtrl> {
-        let ctrl = match &self.int_ctrl {
-            Some(c) => c.clone(),
-            None => self.attach_int_ctrl(),
-        };
+    pub fn attach_timer(&mut self, period: u64, device: u32) {
+        self.int_ctrl.get_or_insert_with(IntCtrl::default);
         let period = period.max(1);
         self.timer = Some(Timer {
             period,
             device,
             next_fire: period,
         });
-        ctrl
     }
 
     /// Installs the network interface for fabric address `node` and its
     /// MMIO window, installing the interrupt controller if absent so
-    /// deliveries can raise the [`NIC_DEVICE`] doorbell. Returns the
-    /// shared device handle the host fabric collects from and delivers
-    /// into.
-    pub fn attach_nic(&mut self, node: u32) -> Shared<crate::nic::Nic> {
-        let ctrl = match &self.int_ctrl {
-            Some(c) => c.clone(),
-            None => self.attach_int_ctrl(),
-        };
-        let nic = crate::nic::Nic::new(node, Some(ctrl), NIC_DEVICE);
-        self.mem.add_device(
-            NIC_ADDR,
-            crate::nic::NIC_WINDOW,
-            Box::new(crate::nic::NicPort(nic.clone())),
-        );
-        self.nic = Some(nic.clone());
-        nic
+    /// deliveries can raise the [`NIC_DEVICE`] doorbell. The host fabric
+    /// collects committed frames through [`Machine::nic_mut`] and
+    /// delivers incoming ones with [`Machine::nic_deliver`].
+    pub fn attach_nic(&mut self, node: u32) {
+        self.int_ctrl.get_or_insert_with(IntCtrl::default);
+        self.nic = Some(Nic::new(node));
     }
 
-    /// The attached NIC, if any (shared handle; the host fabric collects
-    /// committed frames and delivers incoming ones through it).
-    pub fn nic(&self) -> Option<Shared<crate::nic::Nic>> {
-        self.nic.clone()
+    /// The attached NIC, if any.
+    pub fn nic(&self) -> Option<&Nic> {
+        self.nic.as_ref()
+    }
+
+    /// The attached NIC, mutably (the host fabric collects the TX ring
+    /// through it).
+    pub fn nic_mut(&mut self) -> Option<&mut Nic> {
+        self.nic.as_mut()
+    }
+
+    /// Delivers a frame into the NIC's RX ring and raises the
+    /// [`NIC_DEVICE`] doorbell. A full ring (or a machine without a
+    /// NIC) refuses the delivery and hands the frame back — the caller
+    /// must retain it (backpressure; the NIC never drops silently).
+    ///
+    /// # Errors
+    ///
+    /// The frame itself, when it was not accepted.
+    pub fn nic_deliver(&mut self, frame: Frame) -> Result<(), Frame> {
+        let Some(nic) = self.nic.as_mut() else {
+            return Err(frame);
+        };
+        nic.deliver(frame)?;
+        if let Some(ctrl) = self.int_ctrl.as_mut() {
+            ctrl.raise(NIC_DEVICE);
+        }
+        Ok(())
     }
 
     /// The three exception return addresses `ret0..ret2` (privileged
@@ -460,16 +467,39 @@ impl Machine {
         self.ret
     }
 
-    /// The attached interrupt controller, if any (shared handle; fault
-    /// injectors raise and drop device requests through it).
-    pub fn int_ctrl(&self) -> Option<Shared<IntCtrl>> {
-        self.int_ctrl.clone()
+    /// The attached interrupt controller, if any.
+    pub fn int_ctrl(&self) -> Option<&IntCtrl> {
+        self.int_ctrl.as_ref()
     }
 
-    /// The attached page map, if any (shared handle; fault injectors
-    /// corrupt entries through it).
-    pub fn page_map(&self) -> Option<Shared<PageMap>> {
-        self.page_map.clone()
+    /// The attached interrupt controller, mutably (fault injectors raise
+    /// and drop device requests through it).
+    pub fn int_ctrl_mut(&mut self) -> Option<&mut IntCtrl> {
+        self.int_ctrl.as_mut()
+    }
+
+    /// The attached page map, if any.
+    pub fn page_map(&self) -> Option<&PageMap> {
+        self.page_map.as_ref()
+    }
+
+    /// The attached page map, mutably (fault injectors corrupt entries
+    /// and supervisors drop mappings through it; the guest's next
+    /// translation sees the change).
+    pub fn page_map_mut(&mut self) -> Option<&mut PageMap> {
+        self.page_map.as_mut()
+    }
+
+    /// Every word the guest wrote to the console, in order (empty when
+    /// no console is attached).
+    pub fn console(&self) -> &[u32] {
+        self.console.as_deref().unwrap_or_default()
+    }
+
+    /// The console's word log, mutably (a host rolling a run back
+    /// truncates or edits it; snapshots do not capture it).
+    pub fn console_mut(&mut self) -> Option<&mut Vec<u32>> {
+        self.console.as_mut()
     }
 
     /// Raises an exception from outside the instruction stream, exactly
@@ -582,33 +612,30 @@ impl Machine {
     }
 
     pub(crate) fn interrupt_line(&self) -> bool {
-        self.irq_line
-            || self
-                .int_ctrl
-                .as_ref()
-                .is_some_and(|c| c.borrow().line_asserted())
+        self.irq_line || self.int_ctrl.as_ref().is_some_and(IntCtrl::line_asserted)
     }
 
-    /// Translates a data address to a physical word address.
-    pub(crate) fn translate(&self, va: u32) -> Result<u32, (Cause, u16)> {
+    /// Translates a data address to a physical word address, latching
+    /// the fault address on a miss.
+    pub(crate) fn translate(&mut self, va: u32) -> Result<u32, (Cause, u16)> {
         if !self.surprise.map_enable() {
             return Ok(va & (MEM_WORDS - 1));
         }
         let mapped = match self.seg.translate(va) {
             Some(m) => m,
             None => {
-                *self.fault_addr.borrow_mut() = va;
+                self.fault_addr = va;
                 return Err((Cause::PageFault, va as u16));
             }
         };
         match &self.page_map {
-            Some(pm) => match pm.borrow().translate(mapped) {
+            Some(pm) => match pm.translate(mapped) {
                 // A corrupted map entry can point past physical memory;
                 // the bus has no word there, so the access faults like a
                 // missing page and the fault handler gets to re-map it.
                 Some(pa) if pa < MEM_WORDS => Ok(pa),
                 _ => {
-                    *self.fault_addr.borrow_mut() = mapped;
+                    self.fault_addr = mapped;
                     Err((Cause::PageFault, mapped as u16))
                 }
             },
@@ -740,7 +767,7 @@ impl Machine {
     }
 
     fn device_guard(&self, pa: u32) -> Result<(), (Cause, u16)> {
-        if self.mem.is_device(pa) && !self.surprise.supervisor() {
+        if self.is_device(pa) && !self.surprise.supervisor() {
             return Err((Cause::Privilege, pa as u16));
         }
         Ok(())
@@ -755,12 +782,12 @@ impl Machine {
                     }
                     let pa = self.translate(ea >> 2)?;
                     self.device_guard(pa)?;
-                    Ok(self.mem.read(pa))
+                    Ok(self.bus_read(pa))
                 }
                 Width::Byte => {
                     let pa = self.translate(ea >> 2)?;
                     self.device_guard(pa)?;
-                    let w = self.mem.read(pa);
+                    let w = self.bus_read(pa);
                     Ok(mips_core::word::extract_byte(w, ea & 3))
                 }
             }
@@ -770,7 +797,7 @@ impl Machine {
             }
             let pa = self.translate(ea)?;
             self.device_guard(pa)?;
-            Ok(self.mem.read(pa))
+            Ok(self.bus_read(pa))
         }
     }
 
@@ -783,16 +810,15 @@ impl Machine {
                     }
                     let pa = self.translate(ea >> 2)?;
                     self.device_guard(pa)?;
-                    self.mem.write(pa, v);
+                    self.bus_write(pa, v);
                 }
                 Width::Byte => {
                     // Byte stores need the extra read the paper charges
                     // against byte addressing: read-modify-write the word.
                     let pa = self.translate(ea >> 2)?;
                     self.device_guard(pa)?;
-                    let w = self.mem.read(pa);
-                    self.mem
-                        .write(pa, mips_core::word::insert_byte(w, ea & 3, v));
+                    let w = self.bus_read(pa);
+                    self.bus_write(pa, mips_core::word::insert_byte(w, ea & 3, v));
                 }
             }
         } else {
@@ -801,7 +827,7 @@ impl Machine {
             }
             let pa = self.translate(ea)?;
             self.device_guard(pa)?;
-            self.mem.write(pa, v);
+            self.bus_write(pa, v);
         }
         Ok(())
     }
@@ -869,9 +895,9 @@ impl Machine {
         // The timer is part of the instruction-boundary sample: its raise
         // is visible to the very interrupt check below, keeping tick
         // arrival a pure function of the executed-instruction count.
-        if let (Some(t), Some(ctrl)) = (&mut self.timer, &self.int_ctrl) {
+        if let (Some(t), Some(ctrl)) = (&mut self.timer, &mut self.int_ctrl) {
             if self.profile.instructions >= t.next_fire {
-                ctrl.borrow_mut().raise(t.device);
+                ctrl.raise(t.device);
                 t.next_fire += t.period;
             }
         }

@@ -9,24 +9,17 @@
 //! write-backs." (paper §3.1)
 //!
 //! [`Memory`] is a sparse paged store of 32-bit words over the 24-bit
-//! physical space, with device windows ([`Mmio`]) overlaid on it and a DMA
-//! queue that the machine drains one transfer per free cycle.
+//! physical space, with a DMA queue that the machine drains one
+//! transfer per free cycle. The device windows overlaid on the top of
+//! the space belong to the [`Machine`], which owns every built-in
+//! device as a plain field and dispatches their windows itself
+//! ([`Machine::bus_write`]); this module holds that dispatch.
 
-use crate::mmu::PageMap;
-use crate::shared::Shared;
+use crate::machine::{Machine, CONSOLE_ADDR, INTCTRL_ADDR, MAPUNIT_ADDR, NIC_ADDR};
+use crate::nic::NIC_WINDOW;
 use std::collections::{HashMap, VecDeque};
 
 const PAGE: u32 = 4096;
-
-/// A memory-mapped device occupying a window of physical addresses.
-///
-/// Reads and writes receive the word offset within the device's window.
-pub trait Mmio {
-    /// Reads the device register at `off`.
-    fn read(&mut self, off: u32) -> u32;
-    /// Writes the device register at `off`.
-    fn write(&mut self, off: u32, value: u32);
-}
 
 /// A queued DMA transfer, serviced by one free memory cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,17 +39,9 @@ pub enum Dma {
     },
 }
 
-struct Device {
-    base: u32,
-    len: u32,
-    dev: Box<dyn Mmio + Send>,
-}
-
-/// The physical memory system: sparse word storage, device windows, and
-/// the DMA queue.
+/// The physical memory system: sparse word storage and the DMA queue.
 pub struct Memory {
     pages: HashMap<u32, Box<[u32; PAGE as usize]>>,
-    devices: Vec<Device>,
     dma_queue: VecDeque<Dma>,
     dma_read_log: Vec<u32>,
     /// Data-memory reads performed (excludes DMA).
@@ -75,7 +60,6 @@ impl std::fmt::Debug for Memory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Memory")
             .field("resident_pages", &self.pages.len())
-            .field("devices", &self.devices.len())
             .field("dma_queued", &self.dma_queue.len())
             .field("reads", &self.reads)
             .field("writes", &self.writes)
@@ -88,36 +72,11 @@ impl Memory {
     pub fn new() -> Memory {
         Memory {
             pages: HashMap::new(),
-            devices: Vec::new(),
             dma_queue: VecDeque::new(),
             dma_read_log: Vec::new(),
             reads: 0,
             writes: 0,
         }
-    }
-
-    fn device_index(&self, pa: u32) -> Option<usize> {
-        self.devices
-            .iter()
-            .position(|d| pa >= d.base && pa < d.base + d.len)
-    }
-
-    /// Whether `pa` falls inside a device window (device windows are
-    /// supervisor-only; the machine enforces that).
-    pub fn is_device(&self, pa: u32) -> bool {
-        self.device_index(pa).is_some()
-    }
-
-    /// The lowest address of any device window (`u32::MAX` with no
-    /// devices): addresses below it can skip the window scan entirely.
-    /// Devices sit at the top of physical memory in every standard
-    /// configuration, so this one compare filters nearly all traffic.
-    pub fn device_floor(&self) -> u32 {
-        self.devices
-            .iter()
-            .map(|d| d.base)
-            .min()
-            .unwrap_or(u32::MAX)
     }
 
     /// Every nonzero word as sorted `(address, value)` pairs — a cheap
@@ -138,45 +97,21 @@ impl Memory {
         out
     }
 
-    /// Maps a device window at `[base, base+len)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window overlaps an existing device.
-    pub fn add_device(&mut self, base: u32, len: u32, dev: Box<dyn Mmio + Send>) {
-        for d in &self.devices {
-            assert!(
-                base + len <= d.base || base >= d.base + d.len,
-                "device window overlap at {base:#x}"
-            );
-        }
-        self.devices.push(Device { base, len, dev });
-    }
-
-    /// Reads the word at physical address `pa` (counted as a memory
-    /// cycle). Device windows dispatch to the device.
+    /// Reads the RAM word at physical address `pa`, counted as a memory
+    /// cycle.
     pub fn read(&mut self, pa: u32) -> u32 {
         self.reads += 1;
-        if let Some(i) = self.device_index(pa) {
-            let off = pa - self.devices[i].base;
-            return self.devices[i].dev.read(off);
-        }
         self.peek(pa)
     }
 
-    /// Writes the word at physical address `pa` (counted as a memory
-    /// cycle).
+    /// Writes the RAM word at physical address `pa`, counted as a
+    /// memory cycle.
     pub fn write(&mut self, pa: u32, value: u32) {
         self.writes += 1;
-        if let Some(i) = self.device_index(pa) {
-            let off = pa - self.devices[i].base;
-            self.devices[i].dev.write(off, value);
-            return;
-        }
         self.poke(pa, value);
     }
 
-    /// Reads without counting a cycle or touching devices (loader/tests).
+    /// Reads without counting a cycle (loader/tests).
     pub fn peek(&self, pa: u32) -> u32 {
         match self.pages.get(&(pa / PAGE)) {
             Some(p) => p[(pa % PAGE) as usize],
@@ -184,7 +119,7 @@ impl Memory {
         }
     }
 
-    /// Writes without counting a cycle or touching devices (loader/tests).
+    /// Writes without counting a cycle (loader/tests).
     pub fn poke(&mut self, pa: u32, value: u32) {
         let page = self
             .pages
@@ -219,7 +154,7 @@ impl Memory {
         self.dma_read_log = read_log;
     }
 
-    /// Drops every stored RAM word (device windows stay attached). Used
+    /// Drops every stored RAM word. Used
     /// by snapshot restore before re-poking the captured image.
     pub(crate) fn clear_ram(&mut self) {
         self.pages.clear();
@@ -262,11 +197,6 @@ pub struct IntCtrl {
 }
 
 impl IntCtrl {
-    /// Creates a controller with no pending devices.
-    pub fn new() -> Shared<IntCtrl> {
-        Shared::new(IntCtrl::default())
-    }
-
     /// A device (0–31) requests service; asserts the interrupt line.
     pub fn raise(&mut self, device: u32) {
         self.pending |= 1 << (device & 31);
@@ -299,70 +229,129 @@ impl IntCtrl {
     }
 }
 
-/// MMIO adapter sharing an [`IntCtrl`].
-#[derive(Debug)]
-pub struct IntCtrlPort(pub Shared<IntCtrl>);
-
-impl Mmio for IntCtrlPort {
-    fn read(&mut self, _off: u32) -> u32 {
-        match self.0.borrow().highest_pending() {
-            Some(d) => d + 1,
-            None => 0,
-        }
-    }
-
-    fn write(&mut self, _off: u32, value: u32) {
-        self.0.borrow_mut().clear(value);
-    }
+/// A device window on the physical bus, with the word offset inside it.
+#[derive(Debug, Clone, Copy)]
+enum Port {
+    Nic(u32),
+    IntCtrl,
+    MapUnit(u32),
+    Console,
 }
 
-/// MMIO port of the off-chip page-map unit, letting the (supervisor-mode)
-/// page-fault handler manipulate the map from MIPS code.
+/// The machine's device windows. Each sits at a fixed physical address
+/// at the top of memory and answers only while its device is attached;
+/// device windows are supervisor-only (the machine enforces that).
 ///
-/// Register window (three words):
-///
-/// * `+0` read — the mapped (24-bit) address of the last fault;
-///   `+0` write — select a virtual page number for a following map/unmap;
-/// * `+1` read — number of resident pages;
-///   `+1` write — map the selected page to the written frame number;
-/// * `+2` write — unmap the written virtual page number.
-#[derive(Debug)]
-pub struct MapUnitPort {
-    map: Shared<PageMap>,
-    fault_addr: Shared<u32>,
-    selected: u32,
-}
+/// * **NIC** ([`NIC_ADDR`], [`NIC_WINDOW`] words) — see [`crate::nic`].
+/// * **Interrupt controller** ([`INTCTRL_ADDR`], one word) — see
+///   [`IntCtrl`].
+/// * **Page-map unit** ([`MAPUNIT_ADDR`], three words), letting the
+///   supervisor-mode page-fault handler manipulate the map from MIPS
+///   code: `+0` read — the mapped (24-bit) address of the last fault;
+///   `+0` write — latch a virtual page number for a following map;
+///   `+1` read — number of resident pages; `+1` write — map the latched
+///   page to the written frame number; `+2` write — unmap the written
+///   virtual page number.
+/// * **Console** ([`CONSOLE_ADDR`], one word), an output peripheral on
+///   the virtual address bus ("any peripherals on the virtual address
+///   bus must be protected from user level processes", so user code
+///   reaches it through a monitor call): `+0` write — append the word
+///   to the console log; `+0` read — words written so far.
+impl Machine {
+    fn port_at(&self, pa: u32) -> Option<Port> {
+        if pa < NIC_ADDR {
+            return None;
+        }
+        let (port, attached) = if pa < NIC_ADDR + NIC_WINDOW {
+            (Port::Nic(pa - NIC_ADDR), self.nic.is_some())
+        } else if pa == INTCTRL_ADDR {
+            (Port::IntCtrl, self.int_ctrl.is_some())
+        } else if (MAPUNIT_ADDR..MAPUNIT_ADDR + 3).contains(&pa) {
+            (Port::MapUnit(pa - MAPUNIT_ADDR), self.page_map.is_some())
+        } else if pa == CONSOLE_ADDR {
+            (Port::Console, self.console.is_some())
+        } else {
+            return None;
+        };
+        attached.then_some(port)
+    }
 
-impl MapUnitPort {
-    /// Creates a port over a shared page map and fault-address latch.
-    pub fn new(map: Shared<PageMap>, fault_addr: Shared<u32>) -> MapUnitPort {
-        MapUnitPort {
-            map,
-            fault_addr,
-            selected: 0,
+    /// Whether `pa` falls inside an attached device's window.
+    pub(crate) fn is_device(&self, pa: u32) -> bool {
+        self.port_at(pa).is_some()
+    }
+
+    /// The lowest address of any attached device window (`u32::MAX`
+    /// with none): addresses below it can skip the window probe.
+    pub(crate) fn device_floor(&self) -> u32 {
+        [
+            (NIC_ADDR, self.nic.is_some()),
+            (INTCTRL_ADDR, self.int_ctrl.is_some()),
+            (MAPUNIT_ADDR, self.page_map.is_some()),
+            (CONSOLE_ADDR, self.console.is_some()),
+        ]
+        .into_iter()
+        .find_map(|(base, attached)| attached.then_some(base))
+        .unwrap_or(u32::MAX)
+    }
+
+    /// Reads physical address `pa` as a memory cycle: a device register
+    /// inside an attached window, RAM elsewhere.
+    pub(crate) fn bus_read(&mut self, pa: u32) -> u32 {
+        let Some(port) = self.port_at(pa) else {
+            return self.mem.read(pa);
+        };
+        self.mem.reads += 1;
+        match port {
+            Port::Nic(off) => self.nic.as_ref().map_or(0, |n| n.read(off)),
+            Port::IntCtrl => self
+                .int_ctrl
+                .as_ref()
+                .and_then(IntCtrl::highest_pending)
+                .map_or(0, |d| d + 1),
+            Port::MapUnit(0) => self.fault_addr,
+            Port::MapUnit(1) => self.page_map.as_ref().map_or(0, |m| m.len() as u32),
+            Port::MapUnit(_) => 0,
+            Port::Console => self.console.as_ref().map_or(0, |c| c.len() as u32),
         }
     }
-}
 
-impl Mmio for MapUnitPort {
-    fn read(&mut self, off: u32) -> u32 {
-        match off {
-            0 => *self.fault_addr.borrow(),
-            1 => self.map.borrow().len() as u32,
-            _ => 0,
-        }
-    }
-
-    fn write(&mut self, off: u32, value: u32) {
-        match off {
-            0 => self.selected = value,
-            1 => {
-                self.map.borrow_mut().map(self.selected, value);
+    /// Writes `value` to physical address `pa` as a memory cycle, exactly
+    /// as a supervisor-mode store would: a device register inside an
+    /// attached window, RAM elsewhere. The host's hook for garbage on
+    /// the bus (fault injection) and for driving a device window from a
+    /// test.
+    pub fn bus_write(&mut self, pa: u32, value: u32) {
+        let Some(port) = self.port_at(pa) else {
+            return self.mem.write(pa, value);
+        };
+        self.mem.writes += 1;
+        match port {
+            Port::Nic(off) => {
+                if let Some(n) = self.nic.as_mut() {
+                    n.write(off, value);
+                }
             }
-            2 => {
-                self.map.borrow_mut().unmap(value);
+            Port::IntCtrl => {
+                if let Some(c) = self.int_ctrl.as_mut() {
+                    c.clear(value);
+                }
             }
-            _ => {}
+            Port::MapUnit(0) => self.map_select = value,
+            Port::MapUnit(off) => {
+                if let Some(m) = self.page_map.as_mut() {
+                    if off == 1 {
+                        m.map(self.map_select, value);
+                    } else if off == 2 {
+                        m.unmap(value);
+                    }
+                }
+            }
+            Port::Console => {
+                if let Some(c) = self.console.as_mut() {
+                    c.push(value);
+                }
+            }
         }
     }
 }
@@ -370,6 +359,8 @@ impl Mmio for MapUnitPort {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mmu::{PageMap, PAGE_WORDS};
+    use mips_core::Program;
 
     #[test]
     fn zero_fill_and_round_trip() {
@@ -397,40 +388,6 @@ mod tests {
         assert_eq!(m.peek(PAGE * 1000 + 5), 3);
     }
 
-    struct Echo(u32);
-    impl Mmio for Echo {
-        fn read(&mut self, off: u32) -> u32 {
-            self.0 + off
-        }
-        fn write(&mut self, _off: u32, value: u32) {
-            self.0 = value;
-        }
-    }
-
-    #[test]
-    fn devices_shadow_ram() {
-        let mut m = Memory::new();
-        m.poke(0x50, 99);
-        m.add_device(0x50, 2, Box::new(Echo(10)));
-        assert!(m.is_device(0x50));
-        assert!(m.is_device(0x51));
-        assert!(!m.is_device(0x52));
-        assert_eq!(m.read(0x50), 10);
-        assert_eq!(m.read(0x51), 11);
-        m.write(0x50, 77);
-        assert_eq!(m.read(0x50), 77);
-        // RAM behind the window is untouched
-        assert_eq!(m.peek(0x50), 99);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlap")]
-    fn overlapping_devices_rejected() {
-        let mut m = Memory::new();
-        m.add_device(0x50, 4, Box::new(Echo(0)));
-        m.add_device(0x52, 4, Box::new(Echo(0)));
-    }
-
     #[test]
     fn dma_queue_services_in_order() {
         let mut m = Memory::new();
@@ -445,80 +402,67 @@ mod tests {
         assert!(!m.service_dma());
     }
 
+    fn bare() -> Machine {
+        Machine::new(Program::new(Vec::new()))
+    }
+
+    #[test]
+    fn windows_answer_only_once_their_device_is_attached() {
+        let mut m = bare();
+        m.mem_mut().poke(CONSOLE_ADDR, 99);
+        assert!(!m.is_device(CONSOLE_ADDR));
+        assert_eq!(m.device_floor(), u32::MAX);
+        assert_eq!(m.bus_read(CONSOLE_ADDR), 99, "RAM until attached");
+        m.attach_console();
+        assert!(m.is_device(CONSOLE_ADDR));
+        assert!(!m.is_device(CONSOLE_ADDR + 1), "the gap after it is RAM");
+        assert_eq!(m.device_floor(), CONSOLE_ADDR);
+        m.attach_int_ctrl();
+        assert_eq!(m.device_floor(), INTCTRL_ADDR);
+        m.bus_write(CONSOLE_ADDR, 0x1_68);
+        assert_eq!(m.console(), &[0x1_68]);
+        assert_eq!(m.bus_read(CONSOLE_ADDR), 1, "words written so far");
+        assert_eq!(m.mem().peek(CONSOLE_ADDR), 99, "RAM behind the window");
+        assert_eq!(
+            (m.mem().reads, m.mem().writes),
+            (2, 1),
+            "device cycles count"
+        );
+    }
+
     #[test]
     fn int_ctrl_priority_and_ack() {
-        let c = IntCtrl::new();
-        assert!(!c.borrow().line_asserted());
-        c.borrow_mut().raise(5);
-        c.borrow_mut().raise(2);
-        assert!(c.borrow().line_asserted());
-        assert_eq!(c.borrow().highest_pending(), Some(2));
-        let mut port = IntCtrlPort(c.clone());
-        assert_eq!(port.read(0), 3); // device 2, plus one
-        port.write(0, 2); // ack device 2
-        assert_eq!(c.borrow().highest_pending(), Some(5));
-        port.write(0, 5);
-        assert!(!c.borrow().line_asserted());
-        assert_eq!(port.read(0), 0);
+        let mut m = bare();
+        m.attach_int_ctrl();
+        assert!(!m.int_ctrl().unwrap().line_asserted());
+        let c = m.int_ctrl_mut().unwrap();
+        c.raise(5);
+        c.raise(2);
+        assert!(m.int_ctrl().unwrap().line_asserted());
+        assert_eq!(m.int_ctrl().unwrap().highest_pending(), Some(2));
+        assert_eq!(m.bus_read(INTCTRL_ADDR), 3); // device 2, plus one
+        m.bus_write(INTCTRL_ADDR, 2); // ack device 2
+        assert_eq!(m.int_ctrl().unwrap().highest_pending(), Some(5));
+        m.bus_write(INTCTRL_ADDR, 5);
+        assert!(!m.int_ctrl().unwrap().line_asserted());
+        assert_eq!(m.bus_read(INTCTRL_ADDR), 0);
     }
 
     #[test]
-    fn map_unit_port_updates_shared_map() {
-        let map = Shared::new(PageMap::new());
-        let fault = Shared::new(0xabcd_u32);
-        let mut port = MapUnitPort::new(map.clone(), fault.clone());
-        assert_eq!(port.read(0), 0xabcd);
-        assert_eq!(port.read(1), 0);
-        port.write(0, 3); // select vpage 3
-        port.write(1, 9); // map to frame 9
-        assert_eq!(port.read(1), 1);
+    fn map_unit_window_updates_the_owned_map() {
+        let mut m = bare();
+        m.attach_page_map(PageMap::new());
+        m.fault_addr = 0xabcd;
+        assert_eq!(m.bus_read(MAPUNIT_ADDR), 0xabcd);
+        assert_eq!(m.bus_read(MAPUNIT_ADDR + 1), 0);
+        m.bus_write(MAPUNIT_ADDR, 3); // select vpage 3
+        m.bus_write(MAPUNIT_ADDR + 1, 9); // map to frame 9
+        assert_eq!(m.bus_read(MAPUNIT_ADDR + 1), 1);
         assert_eq!(
-            map.borrow().translate(3 * crate::mmu::PAGE_WORDS),
-            Some(9 * crate::mmu::PAGE_WORDS)
+            m.page_map().unwrap().translate(3 * PAGE_WORDS),
+            Some(9 * PAGE_WORDS)
         );
-        port.write(2, 3); // unmap
-        assert!(map.borrow().is_empty());
-    }
-}
-
-/// A console output peripheral on the virtual address bus ("any
-/// peripherals on the virtual address bus must be protected from user
-/// level processes" — device windows are supervisor-only, so user code
-/// reaches the console through a monitor call).
-///
-/// Register window (one word): write `+0` — emit the low byte; read `+0`
-/// — number of bytes emitted so far.
-#[derive(Debug)]
-pub struct ConsolePort(pub Shared<Vec<u8>>);
-
-impl ConsolePort {
-    /// Creates the shared output buffer.
-    pub fn new() -> (ConsolePort, Shared<Vec<u8>>) {
-        let buf = Shared::new(Vec::new());
-        (ConsolePort(buf.clone()), buf)
-    }
-}
-
-impl Mmio for ConsolePort {
-    fn read(&mut self, _off: u32) -> u32 {
-        self.0.borrow().len() as u32
-    }
-
-    fn write(&mut self, _off: u32, value: u32) {
-        self.0.borrow_mut().push(value as u8);
-    }
-}
-
-#[cfg(test)]
-mod console_tests {
-    use super::*;
-
-    #[test]
-    fn console_collects_bytes() {
-        let (mut port, buf) = ConsolePort::new();
-        port.write(0, b'h' as u32);
-        port.write(0, b'i' as u32);
-        assert_eq!(port.read(0), 2);
-        assert_eq!(buf.borrow().as_slice(), b"hi");
+        m.bus_write(MAPUNIT_ADDR + 2, 3); // unmap
+        assert!(m.page_map().unwrap().is_empty());
     }
 }

@@ -15,14 +15,14 @@
 //!   sticky `TX_ERR` count increments and the frame stays un-sent —
 //!   the guest sees `TX_READY` clear in `STATUS` and retries.
 //! * **RX path** — the fabric delivers frames into the bounded RX
-//!   ring with [`Nic::deliver`]. A delivery against a full ring is
+//!   ring with [`Machine::nic_deliver`](crate::Machine::nic_deliver). A delivery against a full ring is
 //!   refused back to the fabric (`deliver` returns the frame), which
 //!   **retains** it for a later exchange — backpressure, never a
 //!   silent drop. The head frame is visible through `RX_LEN` /
 //!   `RX_SRC` and the RX buffer window; writing `RX_ACK` pops it.
 //! * **Interrupts** — each accepted delivery raises
-//!   [`NIC_DEVICE`](crate::machine::NIC_DEVICE) on the interrupt
-//!   controller (when the controller is attached), level-triggered
+//!   [`NIC_DEVICE`](crate::machine::NIC_DEVICE) on the machine's
+//!   interrupt controller (when one is attached), level-triggered
 //!   and sticky until software acknowledges it through the
 //!   controller port — the same doorbell discipline as the timer.
 //!
@@ -31,8 +31,6 @@
 //! images, so a supervisor can checkpoint and restore a node with
 //! frames in flight.
 
-use crate::mem::{IntCtrl, Mmio};
-use crate::shared::Shared;
 use std::collections::VecDeque;
 
 /// Maximum payload words per frame.
@@ -78,9 +76,9 @@ pub struct Frame {
     pub payload: Vec<u32>,
 }
 
-/// NIC device state. Lives in a [`Shared`] cell so the machine's MMIO
-/// port and the host fabric observe one object; see the
-/// [module docs](self) for the TX/RX/backpressure contract.
+/// NIC device state, owned by the [`Machine`](crate::Machine) it is
+/// attached to; see the [module docs](self) for the
+/// TX/RX/backpressure contract.
 #[derive(Debug)]
 pub struct Nic {
     node: u32,
@@ -89,24 +87,19 @@ pub struct Nic {
     tx_dst: u32,
     tx_buf: [u32; MAX_FRAME_WORDS],
     tx_err: u32,
-    int_ctrl: Option<Shared<IntCtrl>>,
-    device: u32,
 }
 
 impl Nic {
-    /// Creates a NIC for fabric address `node`, raising `device` on
-    /// `int_ctrl` (when given) at each accepted delivery.
-    pub fn new(node: u32, int_ctrl: Option<Shared<IntCtrl>>, device: u32) -> Shared<Nic> {
-        Shared::new(Nic {
+    /// Creates a NIC for fabric address `node`.
+    pub(crate) fn new(node: u32) -> Nic {
+        Nic {
             node,
             tx: VecDeque::new(),
             rx: VecDeque::new(),
             tx_dst: 0,
             tx_buf: [0; MAX_FRAME_WORDS],
             tx_err: 0,
-            int_ctrl,
-            device,
-        })
+        }
     }
 
     /// This NIC's fabric address.
@@ -135,21 +128,13 @@ impl Nic {
         self.tx.drain(..).collect()
     }
 
-    /// Delivers a frame into the RX ring, raising the doorbell. A full
-    /// ring refuses the delivery and hands the frame back — the caller
-    /// must retain it (backpressure; the NIC never drops silently).
-    ///
-    /// # Errors
-    ///
-    /// The frame itself, when the RX ring is full.
-    pub fn deliver(&mut self, frame: Frame) -> Result<(), Frame> {
+    /// Delivers a frame into the RX ring; a full ring hands it back.
+    /// The machine raises the doorbell ([`crate::Machine::nic_deliver`]).
+    pub(crate) fn deliver(&mut self, frame: Frame) -> Result<(), Frame> {
         if self.rx.len() >= RX_RING {
             return Err(frame);
         }
         self.rx.push_back(frame);
-        if let Some(ctrl) = &self.int_ctrl {
-            ctrl.borrow_mut().raise(self.device);
-        }
         Ok(())
     }
 
@@ -172,7 +157,8 @@ impl Nic {
         });
     }
 
-    fn read(&mut self, off: u32) -> u32 {
+    /// Reads the register at window offset `off`.
+    pub(crate) fn read(&self, off: u32) -> u32 {
         match off {
             regs::STATUS => self.status(),
             regs::NODE => self.node,
@@ -194,7 +180,8 @@ impl Nic {
         }
     }
 
-    fn write(&mut self, off: u32, value: u32) {
+    /// Writes the register at window offset `off`.
+    pub(crate) fn write(&mut self, off: u32, value: u32) {
         match off {
             regs::TX_DST => self.tx_dst = value,
             regs::TX_COMMIT => self.commit(value),
@@ -221,9 +208,7 @@ impl Nic {
         }
     }
 
-    /// Restores captured state (rings, staging buffer, latches). The
-    /// doorbell wiring (`int_ctrl`, `device`) is attachment shape, not
-    /// captured state, and is left alone.
+    /// Restores captured state (rings, staging buffer, latches).
     pub(crate) fn restore_state(&mut self, s: &NicSnap) {
         self.node = s.node;
         self.tx_dst = s.tx_dst;
@@ -245,20 +230,6 @@ pub(crate) struct NicSnap {
     pub(crate) rx: Vec<Frame>,
 }
 
-/// The NIC's MMIO port: forwards window accesses to the shared device
-/// state (same split as [`IntCtrlPort`](crate::mem::IntCtrlPort)).
-pub struct NicPort(pub Shared<Nic>);
-
-impl Mmio for NicPort {
-    fn read(&mut self, off: u32) -> u32 {
-        self.0.borrow_mut().read(off)
-    }
-
-    fn write(&mut self, off: u32, value: u32) {
-        self.0.borrow_mut().write(off, value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,8 +244,7 @@ mod tests {
 
     #[test]
     fn commit_builds_frames_from_the_staging_window() {
-        let nic = Nic::new(3, None, 2);
-        let mut n = nic.borrow_mut();
+        let mut n = Nic::new(3);
         n.write(regs::TX_DST, 7);
         n.write(regs::TX_BUF, 0xAA);
         n.write(regs::TX_BUF + 1, 0xBB);
@@ -285,8 +255,7 @@ mod tests {
 
     #[test]
     fn full_tx_ring_refuses_and_counts_sticky() {
-        let nic = Nic::new(0, None, 2);
-        let mut n = nic.borrow_mut();
+        let mut n = Nic::new(0);
         n.write(regs::TX_BUF, 1);
         for _ in 0..TX_RING {
             n.write(regs::TX_COMMIT, 1);
@@ -301,8 +270,7 @@ mod tests {
 
     #[test]
     fn zero_and_oversize_commits_are_refused() {
-        let nic = Nic::new(0, None, 2);
-        let mut n = nic.borrow_mut();
+        let mut n = Nic::new(0);
         n.write(regs::TX_COMMIT, 0);
         n.write(regs::TX_COMMIT, MAX_FRAME_WORDS as u32 + 1);
         assert_eq!(n.tx_err(), 2);
@@ -311,8 +279,7 @@ mod tests {
 
     #[test]
     fn delivery_backpressures_instead_of_dropping() {
-        let nic = Nic::new(1, None, 2);
-        let mut n = nic.borrow_mut();
+        let mut n = Nic::new(1);
         for i in 0..RX_RING as u32 {
             assert!(n.deliver(frame(0, 1, &[i])).is_ok());
         }
@@ -326,8 +293,7 @@ mod tests {
 
     #[test]
     fn rx_head_is_readable_then_acked() {
-        let nic = Nic::new(1, None, 2);
-        let mut n = nic.borrow_mut();
+        let mut n = Nic::new(1);
         n.deliver(frame(5, 1, &[10, 20])).unwrap();
         n.deliver(frame(6, 1, &[30])).unwrap();
         assert_eq!(n.read(regs::RX_LEN), 2);
@@ -344,24 +310,14 @@ mod tests {
     }
 
     #[test]
-    fn delivery_raises_the_doorbell() {
-        let ctrl = IntCtrl::new();
-        let nic = Nic::new(1, Some(ctrl.clone()), 2);
-        nic.borrow_mut().deliver(frame(0, 1, &[1])).unwrap();
-        assert_eq!(ctrl.borrow().highest_pending(), Some(2));
-    }
-
-    #[test]
     fn snap_state_round_trips() {
-        let nic = Nic::new(4, None, 2);
-        let mut n = nic.borrow_mut();
+        let mut n = Nic::new(4);
         n.write(regs::TX_DST, 9);
         n.write(regs::TX_BUF, 0x11);
         n.write(regs::TX_COMMIT, 1);
         n.deliver(frame(2, 4, &[7, 8])).unwrap();
         let snap = n.snap_state();
-        let other = Nic::new(0, None, 2);
-        let mut o = other.borrow_mut();
+        let mut o = Nic::new(0);
         o.restore_state(&snap);
         assert_eq!(o.snap_state(), snap);
         assert_eq!(o.collect(), vec![frame(4, 9, &[0x11])]);

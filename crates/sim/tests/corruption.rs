@@ -99,8 +99,8 @@ fn unmapped_mmio_port_offset_reads_zero() {
     );
     let p = assemble(&src).unwrap();
     let mut m = Machine::new(p);
-    let map = m.attach_page_map(PageMap::new());
-    map.borrow_mut().map(7, 7);
+    m.attach_page_map(PageMap::new());
+    m.page_map_mut().unwrap().map(7, 7);
     m.run().unwrap();
     assert_eq!(m.mem().peek(100), 0, "undefined MMIO offset reads as zero");
     assert_eq!(m.mem().peek(101), 1, "defined offset still works");
@@ -137,9 +137,9 @@ fn out_of_range_page_map_entry_faults_like_a_miss() {
             ..MachineConfig::default()
         },
     );
-    let map = m.attach_page_map(PageMap::new());
+    m.attach_page_map(PageMap::new());
     // Frame 0x1000 = first frame past the 24-bit physical space.
-    map.borrow_mut().map(1, 0x1000);
+    m.page_map_mut().unwrap().map(1, 0x1000);
     m.surprise_mut().set_map_enable(true);
     let main = m.program().symbol("main").unwrap();
     m.jump_to(main);

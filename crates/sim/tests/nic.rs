@@ -8,7 +8,7 @@ use mips_asm::assemble;
 use mips_core::Reg;
 use mips_sim::machine::{INTCTRL_ADDR, NIC_ADDR};
 use mips_sim::nic::regs;
-use mips_sim::{Frame, Machine, MachineConfig, Mmio, NicPort, RX_RING};
+use mips_sim::{Frame, Machine, MachineConfig, NIC_DEVICE, RX_RING};
 
 fn machine(src: &str) -> Machine {
     let p = assemble(src).unwrap();
@@ -75,20 +75,29 @@ fn guest_commits_a_frame_and_a_peer_guest_reads_it() {
     );
 
     let mut a = machine(&sender);
-    let nic_a = a.attach_nic(0);
+    a.attach_nic(0);
     a.run().unwrap();
-    let collected = nic_a.borrow_mut().collect();
+    let collected = a.nic_mut().unwrap().collect();
     assert_eq!(collected, vec![frame(0, 1, &[42])]);
 
     let mut b = machine(&receiver);
-    let nic_b = b.attach_nic(1);
+    b.attach_nic(1);
     for f in collected {
-        nic_b.borrow_mut().deliver(f).unwrap();
+        b.nic_deliver(f).unwrap();
     }
+    assert_eq!(
+        b.int_ctrl().unwrap().highest_pending(),
+        Some(NIC_DEVICE),
+        "delivery rang the doorbell"
+    );
     b.run().unwrap();
     assert_eq!(b.reg(Reg::R6), 0, "source node seen by the guest");
     assert_eq!(b.reg(Reg::R7), 42, "payload seen by the guest");
-    assert_eq!(nic_b.borrow().rx_depth(), 0, "guest acknowledged the frame");
+    assert_eq!(
+        b.nic().unwrap().rx_depth(),
+        0,
+        "guest acknowledged the frame"
+    );
 }
 
 #[test]
@@ -105,18 +114,18 @@ fn full_rx_ring_backpressures_and_a_guest_ack_reopens_it() {
         rxack = regs::RX_ACK,
     );
     let mut m = machine(&src);
-    let nic = m.attach_nic(1);
+    m.attach_nic(1);
     for i in 0..RX_RING as u32 {
-        nic.borrow_mut().deliver(frame(0, 1, &[i])).unwrap();
+        m.nic_deliver(frame(0, 1, &[i])).unwrap();
     }
-    let refused = nic.borrow_mut().deliver(frame(0, 1, &[99])).unwrap_err();
+    let refused = m.nic_deliver(frame(0, 1, &[99])).unwrap_err();
     assert_eq!(refused, frame(0, 1, &[99]), "refused intact, not dropped");
-    assert_eq!(nic.borrow().rx_depth(), RX_RING);
+    assert_eq!(m.nic().unwrap().rx_depth(), RX_RING);
 
     m.run().unwrap(); // the guest acks exactly one frame
-    assert_eq!(nic.borrow().rx_depth(), RX_RING - 1);
-    nic.borrow_mut().deliver(refused).unwrap();
-    assert_eq!(nic.borrow().rx_depth(), RX_RING);
+    assert_eq!(m.nic().unwrap().rx_depth(), RX_RING - 1);
+    m.nic_deliver(refused).unwrap();
+    assert_eq!(m.nic().unwrap().rx_depth(), RX_RING);
 }
 
 #[test]
@@ -158,7 +167,7 @@ fn delivery_doorbell_mid_branch_shadow_resumes_exactly() {
         rxack = regs::RX_ACK,
     );
     let mut m = machine(&src);
-    let nic = m.attach_nic(1);
+    m.attach_nic(1);
     let main = m.program().symbol("main").unwrap();
     m.jump_to(main);
     // Step until a branch shadow is live inside the counting loop.
@@ -166,12 +175,16 @@ fn delivery_doorbell_mid_branch_shadow_resumes_exactly() {
         m.step().unwrap();
     }
     assert!(!m.pipeline_quiescent(), "a transfer shadow is pending");
-    nic.borrow_mut().deliver(frame(0, 1, &[77])).unwrap();
+    m.nic_deliver(frame(0, 1, &[77])).unwrap();
     m.run().unwrap();
     assert_eq!(m.profile().exceptions, 1, "the doorbell was accepted once");
     assert_eq!(m.mem().peek(300), 77, "the handler consumed the frame");
     assert_eq!(m.reg(Reg::R4), 100, "the interrupted loop still completed");
-    assert_eq!(nic.borrow().rx_depth(), 0, "the handler acknowledged it");
+    assert_eq!(
+        m.nic().unwrap().rx_depth(),
+        0,
+        "the handler acknowledged it"
+    );
 }
 
 const LOOPY: &str = "
@@ -188,19 +201,18 @@ loop:
 #[test]
 fn snapshot_round_trips_with_frames_in_flight_in_both_rings() {
     let mut a = machine(LOOPY);
-    let nic = a.attach_nic(3);
+    a.attach_nic(3);
     for _ in 0..4 {
         a.step().unwrap();
     }
     // One committed frame waiting for fabric collection...
-    let mut port = NicPort(nic.clone());
-    port.write(regs::TX_DST, 7);
-    port.write(regs::TX_BUF, 0x1234);
-    port.write(regs::TX_BUF + 1, 0x5678);
-    port.write(regs::TX_COMMIT, 2);
+    a.bus_write(NIC_ADDR + regs::TX_DST, 7);
+    a.bus_write(NIC_ADDR + regs::TX_BUF, 0x1234);
+    a.bus_write(NIC_ADDR + regs::TX_BUF + 1, 0x5678);
+    a.bus_write(NIC_ADDR + regs::TX_COMMIT, 2);
     // ...and two delivered frames waiting for the guest.
-    nic.borrow_mut().deliver(frame(1, 3, &[5])).unwrap();
-    nic.borrow_mut().deliver(frame(2, 3, &[6, 7])).unwrap();
+    a.nic_deliver(frame(1, 3, &[5])).unwrap();
+    a.nic_deliver(frame(2, 3, &[6, 7])).unwrap();
 
     let snap = a.snapshot();
     let bytes = snap.to_bytes();
@@ -208,15 +220,15 @@ fn snapshot_round_trips_with_frames_in_flight_in_both_rings() {
     assert_eq!(decoded, snap, "in-flight frames survive the byte codec");
 
     let mut b = machine(LOOPY);
-    let nic_b = b.attach_nic(0);
+    b.attach_nic(0);
     b.restore(&snap).unwrap();
     assert_eq!(b.snapshot().to_bytes(), bytes, "byte-identical re-capture");
     assert_eq!(
-        nic_b.borrow_mut().collect(),
+        b.nic_mut().unwrap().collect(),
         vec![frame(3, 7, &[0x1234, 0x5678])],
         "the committed frame re-appears on the restored node"
     );
-    assert_eq!(nic_b.borrow().rx_depth(), 2, "both deliveries restored");
+    assert_eq!(b.nic().unwrap().rx_depth(), 2, "both deliveries restored");
     // And the trajectory continues in lock-step.
     while !a.halted() {
         a.step().unwrap();

@@ -124,8 +124,8 @@ fn main() {
         },
     );
     machine.attach_page_map(PageMap::new());
-    let console = machine.attach_console();
-    let ctrl = machine.attach_int_ctrl();
+    machine.attach_console();
+    machine.attach_int_ctrl();
     machine.surprise_mut().set_map_enable(true);
 
     let user = machine.program().symbol("user").unwrap();
@@ -135,7 +135,7 @@ fn main() {
     let mut raised = 0;
     loop {
         if machine.profile().instructions.is_multiple_of(97) && raised < 3 {
-            ctrl.borrow_mut().raise(2);
+            machine.int_ctrl_mut().unwrap().raise(2);
             raised += 1;
         }
         match machine.step() {
@@ -145,7 +145,7 @@ fn main() {
         }
     }
 
-    let printed = String::from_utf8_lossy(&console.borrow()).into_owned();
+    let printed: String = machine.console().iter().map(|&w| w as u8 as char).collect();
     println!("console output           = {printed:?}");
     let faults = machine.mem().peek(90);
     let interrupts = machine.mem().peek(91);

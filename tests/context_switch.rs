@@ -65,7 +65,7 @@ fn pid_switch_isolates_processes_without_touching_the_map() {
                 ..MachineConfig::default()
             },
         );
-        let shared = m.attach_page_map(map.clone());
+        m.attach_page_map(map.clone());
         {
             let seg = m.segmentation_mut();
             seg.pid = pid;
@@ -82,7 +82,7 @@ fn pid_switch_isolates_processes_without_touching_the_map() {
         m.mem_mut().poke(phys, pid * 100);
         m.run().unwrap();
         let out = m.mem().peek(phys);
-        let map_now = shared.borrow().clone();
+        let map_now = m.page_map().unwrap().clone();
         (out, map_now)
     };
 

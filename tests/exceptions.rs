@@ -125,13 +125,13 @@ fn interrupt_line_dispatches_and_handler_acknowledges() {
             ..MachineConfig::default()
         },
     );
-    let ctrl = m.attach_int_ctrl();
-    ctrl.borrow_mut().raise(3);
+    m.attach_int_ctrl();
+    m.int_ctrl_mut().unwrap().raise(3);
     let main = m.program().symbol("main").unwrap();
     m.jump_to(main);
     m.run().unwrap();
     assert_eq!(m.mem().peek(101), 4, "device 3 reported as 3+1");
-    assert!(!ctrl.borrow().line_asserted(), "acknowledged");
+    assert!(!m.int_ctrl().unwrap().line_asserted(), "acknowledged");
     assert_eq!(m.reg(Reg::R4), 10, "the loop still completed");
     assert_eq!(m.profile().exceptions, 1, "one interrupt only");
 }
