@@ -49,7 +49,8 @@
 
 ; PCB layout (offsets): +0 state (0 free / 1 runnable / 2 exited /
 ; 3 killed), +1 entry, +2..+4 saved ret0..ret2, +5 saved surprise,
-; +6 exit status or killing surprise, +7 program break, +8..+23 r0..r15.
+; +6 exit status or killing surprise, +7 program break, +8..+23 r0..r15,
+; +24 saved lo (the user-visible byte-insert selector).
 
 ; ---------------------------- device ports ---------------------------
 .equ NIC       16777152  ; network interface: +0 status, +2 tx dst,
@@ -519,8 +520,10 @@ kill:
 
 ; =====================================================================
 ; Preemption (timer tick or yield): copy the interrupted context —
-; return-address chain, surprise, and all 16 registers — from the save
-; area into the PCB, then pick the next process.
+; return-address chain, surprise, lo, and all 16 registers — from the
+; save area into the PCB, then pick the next process. `lo` is user
+; state: a preemption can land between a `wsp …,lo` and the byte
+; insert it selects for.
 ; =====================================================================
 preempt:
     ld @CURRENT,r1
@@ -535,6 +538,8 @@ preempt:
     st r3,4(r2)
     rsp surprise,r3
     st r3,5(r2)
+    rsp lo,r3
+    st r3,24(r2)
     ld @SAVE,r3
     ld @SAVE+1,r4
     st r3,8(r2)
@@ -596,9 +601,9 @@ sl_ok:
     nop
     halt                 ; no runnable process: the system is idle
 
-; Switch in: r2 = pid, r3 = its PCB. Restore the return-address chain
-; and surprise, point the segmentation unit at the new address space,
-; and stage the registers into SAVE for the restore path.
+; Switch in: r2 = pid, r3 = its PCB. Restore the return-address chain,
+; surprise, and lo, point the segmentation unit at the new address
+; space, and stage the registers into SAVE for the restore path.
 found:
     ld @KSWITCHES,r4
     st r2,@CURRENT
@@ -613,7 +618,9 @@ found:
     ld 5(r3),r5
     wsp r4,ret2
     wsp r5,surprise      ; prev fields hold the user-mode configuration
+    ld 24(r3),r6
     ld 8(r3),r4
+    wsp r6,lo            ; the process's byte-insert selector
     ld 9(r3),r5
     st r4,@SAVE
     st r5,@SAVE+1

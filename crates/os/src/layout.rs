@@ -63,6 +63,8 @@ pub mod pcb {
     pub const BRK: u32 = 7;
     /// Saved r0..r15 (sixteen words).
     pub const REGS: u32 = 8;
+    /// Saved `lo`, the user-visible byte-insert selector.
+    pub const LO: u32 = 24;
 
     /// Unused slot.
     pub const STATE_FREE: u32 = 0;

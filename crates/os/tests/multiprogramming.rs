@@ -7,7 +7,7 @@
 use mips_hll::{compile_mips, CodegenOptions};
 use mips_os::{Kernel, KernelConfig, ProcStatus};
 use mips_reorg::{reorganize, ReorgOptions};
-use mips_sim::Machine;
+use mips_sim::{Engine, Machine};
 
 /// Compiles and reorganizes a workload exactly as the bench harness
 /// does for bare metal.
@@ -52,6 +52,47 @@ fn every_workload_is_byte_identical_under_the_kernel() {
             w.name
         );
         assert!(report.cost.user > 0 && report.cost.save_restore > 0);
+    }
+}
+
+/// The serving mix, seven processes at a 1000-instruction slice in 12
+/// frames. Preemptions land between the compiler's `wsp …,lo` and the
+/// byte insert it sets up, so every output byte depends on the kernel
+/// carrying each process's `lo` selector across context switches.
+#[test]
+fn the_serving_mix_sliced_every_thousand_instructions_matches_bare_metal() {
+    let programs: Vec<_> = mips_serve::MIX_WORKLOADS
+        .iter()
+        .map(|&name| {
+            let program = build(mips_workloads::get(name).expect("mix workload").source);
+            (name, standalone_output(program.clone()), program)
+        })
+        .collect();
+    for engine in [Engine::Fast, Engine::Reference] {
+        let mut k = Kernel::with_config(KernelConfig {
+            time_slice: 1000,
+            frames: 12,
+            engine,
+            ..KernelConfig::default()
+        });
+        for (name, _, program) in &programs {
+            k.spawn(name, program.clone()).unwrap();
+        }
+        let report = k.run_until_idle().unwrap();
+        assert!(report.panic.is_none(), "{engine:?}: {:?}", report.panic);
+        assert!(report.counters.switches > 20, "the slice really preempts");
+        for (p, (name, expected, _)) in report.procs.iter().zip(&programs) {
+            assert!(
+                matches!(p.status, ProcStatus::Exited(_)),
+                "{name} on {engine:?}: {:?}",
+                p.status
+            );
+            assert_eq!(
+                String::from_utf8_lossy(&p.output),
+                String::from_utf8_lossy(expected),
+                "{name} on {engine:?}: output under the kernel differs from bare metal"
+            );
+        }
     }
 }
 
