@@ -1,4 +1,4 @@
-//! Property tests for `mips-snap/v2`: a snapshot taken at any
+//! Property tests for `mips-snap/v3`: a snapshot taken at any
 //! instruction boundary of a random program
 //!
 //! * serializes to the **same bytes on either engine** (the fast path

@@ -11,7 +11,7 @@
 //!   system, driven by either of two lock-step-conformant engines (the
 //!   per-step reference interpreter and a predecoded, chunked fast
 //!   path — `sim::Engine`), with byte-stable whole-machine snapshots
-//!   (`sim::Snapshot`, the `mips-snap/v2` format);
+//!   (`sim::Snapshot`, the `mips-snap/v3` format);
 //! * [`asm`] — the assembler;
 //! * [`reorg`] — the post-pass reorganizer (scheduling, packing, branch
 //!   delay);
