@@ -11,10 +11,14 @@
 //! `wordwise`, `regalloc`, `systems`, `chaos`, `recovery`,
 //! `failover` (the kill-anyone distributed campaign: WAL + leader
 //! election under node kills drawn over the whole run), `throughput`
-//! (which also writes the `BENCH_throughput.json` artifact the CI
-//! regression gate compares against), and `fleet` (which writes
-//! `BENCH_fleet.json`, the fleet scaling artifact its own gate
-//! compares against).
+//! (the fast engine against the reference interpreter), and `fleet`
+//! (the fleet scaling curve).
+//!
+//! The whole-paper sweep (no arguments, or `all`) writes no files.
+//! Only an explicit `tables throughput` or `tables fleet` re-pins its
+//! artifact in the current directory — `BENCH_throughput.json` or
+//! `BENCH_fleet.json`, the baselines the CI gates compare against — so
+//! a routine verification run never rewrites a checked-in baseline.
 
 use mips_analysis as analysis;
 use mips_hll::MachineTarget;
@@ -150,21 +154,32 @@ fn main() {
         section("Host throughput: fast engine vs reference interpreter");
         let report = mips_bench::throughput::measure();
         println!("{report}");
-        let path = "BENCH_throughput.json";
-        std::fs::write(path, report.to_json()).expect("write throughput artifact");
-        println!("[wrote {path}]");
+        if writes_artifact(&args, "throughput") {
+            let path = "BENCH_throughput.json";
+            std::fs::write(path, report.to_json()).expect("write throughput artifact");
+            println!("[wrote {path}]");
+        }
     }
 
     if want("fleet") {
         section("Fleet serving: scaling curve and measured throughput");
         let bench = mips_serve::measure_fleet(mips_serve::BENCH_SEED, mips_serve::BENCH_JOBS, 0);
         println!("{bench}");
-        let path = "BENCH_fleet.json";
-        std::fs::write(path, bench.to_json()).expect("write fleet artifact");
-        println!("[wrote {path}]");
+        if writes_artifact(&args, "fleet") {
+            let path = "BENCH_fleet.json";
+            std::fs::write(path, bench.to_json()).expect("write fleet artifact");
+            println!("[wrote {path}]");
+        }
     }
 
     eprintln!("[tables: completed in {:?}]", t0.elapsed());
+}
+
+/// Whether this invocation re-pins `experiment`'s artifact: only when
+/// the experiment is named explicitly, never from the whole-paper
+/// sweep (no arguments, or `all`).
+fn writes_artifact(args: &[String], experiment: &str) -> bool {
+    args.iter().any(|a| a == experiment)
 }
 
 /// Per-workload systems overhead: each corpus program runs alone under
@@ -274,4 +289,29 @@ fn section(name: &str) {
     println!("{}", "=".repeat(72));
     println!("== {name}");
     println!("{}", "=".repeat(72));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::writes_artifact;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn only_an_explicit_experiment_writes_its_artifact() {
+        for name in ["throughput", "fleet"] {
+            assert!(!writes_artifact(&args(&[]), name), "sweep: {name}");
+            assert!(!writes_artifact(&args(&["all"]), name), "all: {name}");
+            assert!(!writes_artifact(&args(&["table1"]), name), "other: {name}");
+            assert!(writes_artifact(&args(&[name]), name), "explicit: {name}");
+            assert!(
+                writes_artifact(&args(&["all", name]), name),
+                "named: {name}"
+            );
+        }
+        assert!(!writes_artifact(&args(&["throughput"]), "fleet"));
+        assert!(!writes_artifact(&args(&["fleet"]), "throughput"));
+    }
 }

@@ -392,3 +392,38 @@ fn kills_sampled_across_the_entire_run_always_recover() {
         }
     }
 }
+
+/// A kill rolls a node back to a checkpoint taken at a slice cut, which
+/// often lands inside kernel text — where the fast engine runs bursts
+/// fenced at cost-section edges. Under a kill plan hitting every member,
+/// the whole report (per-node kernel reports with their cost
+/// attribution, rounds, restarts, fabric counters) must equal the
+/// reference engine's.
+#[test]
+fn failover_under_kills_matches_the_reference_engine() {
+    let run = |engine: Engine| {
+        let kernels = failover_kernels(engine).unwrap();
+        let mut c = Cluster::new(&kernels, failover_cluster_config()).unwrap();
+        let mut deliver = |_: u64, _: &mips_sim::Frame| FaultAction::Deliver;
+        while !c.all_done() {
+            assert!(c.round() < 2_000, "{engine:?}: kill plan wedged");
+            match c.round() {
+                20 => c.kill_node(0).unwrap(),
+                60 => c.kill_node(2).unwrap(),
+                100 => c.kill_node(1).unwrap(),
+                _ => {}
+            }
+            c.step(&mut deliver).unwrap();
+        }
+        c.report()
+    };
+    let fast = run(Engine::Fast);
+    let reference = run(Engine::Reference);
+    assert!(fast.completed);
+    assert_eq!(fast.restarts, vec![1, 1, 1]);
+    assert_eq!(fast.output(), failover_expected());
+    for (i, (f, r)) in fast.nodes.iter().zip(&reference.nodes).enumerate() {
+        assert_eq!(f.cost, r.cost, "node {i}: systems cost");
+    }
+    assert_eq!(fast, reference);
+}

@@ -80,11 +80,14 @@ pub struct KernelConfig {
     pub watchdog: Option<u64>,
     /// Execution engine for the underlying machine. With
     /// [`Engine::Fast`], hook-free runs ([`Kernel::run_until_idle`])
-    /// burst through user-mode stretches on the fast path and fall back
-    /// to per-step execution inside kernel text; runs with a hook
-    /// attached always step the reference interpreter so the hook's
-    /// pre-step observation point is preserved. The [`RunReport`] is
-    /// identical either way.
+    /// run in fast-engine bursts: user-mode stretches fenced at the
+    /// kernel-text boundary, and kernel text fenced at the edges of one
+    /// cost section, so each burst is charged to one bucket. Supervised
+    /// runs keep kernel text per-step (the supervisor observes every
+    /// kernel instruction boundary), and runs with a hook attached
+    /// always step the reference interpreter so the hook's pre-step
+    /// observation point is preserved. The [`RunReport`], systems cost
+    /// included, is identical either way.
     pub engine: Engine,
     /// Checkpoint/restart supervision. When set, the host periodically
     /// checkpoints every process at a safe boundary and rolls a killed
@@ -325,7 +328,6 @@ const SECTIONS: [(&str, Bucket); 11] = [
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Bucket {
-    User,
     SaveRestore,
     Dispatch,
     Syscall,
@@ -334,28 +336,40 @@ enum Bucket {
     Paging,
 }
 
-/// Which cost bucket the instruction at `pc` belongs to, given the
-/// sorted kernel section starts and the kernel-text length.
-fn bucket_of(sections: &[(u32, Bucket)], klen: u32, pc: u32) -> Bucket {
-    if pc >= klen {
-        return Bucket::User;
-    }
-    match sections.binary_search_by_key(&pc, |&(a, _)| a) {
-        Ok(i) => sections[i].1,
-        Err(0) => Bucket::SaveRestore, // address 0 is `dispatch`
-        Err(i) => sections[i - 1].1,
-    }
+/// One kernel cost section: the text `[start, end)` and the bucket its
+/// instructions are charged to.
+#[derive(Debug, Clone, Copy)]
+struct Section {
+    start: u32,
+    end: u32,
+    bucket: Bucket,
 }
 
-fn charge(cost: &mut SystemsCost, b: Bucket) {
+/// The per-kernel-pc section table: entry `pc` is the section holding
+/// kernel word `pc`. `starts` are the section labels' addresses; words
+/// before the first label belong to `dispatch` (address 0).
+fn section_table(mut starts: Vec<(u32, Bucket)>, klen: u32) -> Vec<Section> {
+    starts.sort_by_key(|&(a, _)| a);
+    if starts.first().is_none_or(|&(a, _)| a > 0) {
+        starts.insert(0, (0, Bucket::SaveRestore));
+    }
+    let mut table = Vec::with_capacity(klen as usize);
+    for (i, &(start, bucket)) in starts.iter().enumerate() {
+        let end = starts.get(i + 1).map_or(klen, |&(a, _)| a);
+        let s = Section { start, end, bucket };
+        table.extend((start..end).map(|_| s));
+    }
+    table
+}
+
+fn charge(cost: &mut SystemsCost, b: Bucket, n: u64) {
     match b {
-        Bucket::User => cost.user += 1,
-        Bucket::SaveRestore => cost.save_restore += 1,
-        Bucket::Dispatch => cost.dispatch += 1,
-        Bucket::Syscall => cost.syscall += 1,
-        Bucket::Tick => cost.tick += 1,
-        Bucket::Sched => cost.sched += 1,
-        Bucket::Paging => cost.paging += 1,
+        Bucket::SaveRestore => cost.save_restore += n,
+        Bucket::Dispatch => cost.dispatch += n,
+        Bucket::Syscall => cost.syscall += n,
+        Bucket::Tick => cost.tick += n,
+        Bucket::Sched => cost.sched += n,
+        Bucket::Paging => cost.paging += n,
     }
 }
 
@@ -529,12 +543,14 @@ impl Kernel {
             // own stack pointer.
         }
 
-        // Map kernel section starts to cost buckets for attribution.
-        let mut sections: Vec<(u32, Bucket)> = SECTIONS
-            .iter()
-            .map(|&(name, b)| (m.program().symbol(name).expect("kernel section"), b))
-            .collect();
-        sections.sort_by_key(|&(a, _)| a);
+        // Map every kernel word to its cost section for attribution.
+        let sections = section_table(
+            SECTIONS
+                .iter()
+                .map(|&(name, b)| (m.program().symbol(name).expect("kernel section"), b))
+                .collect(),
+            klen,
+        );
 
         let st = LoopState {
             cost: SystemsCost::default(),
@@ -577,7 +593,8 @@ pub struct KernelRun {
     klen: u32,
     names: Vec<String>,
     config: KernelConfig,
-    sections: Vec<(u32, Bucket)>,
+    /// Per-kernel-pc cost sections (length `klen`).
+    sections: Vec<Section>,
     st: LoopState,
     sup: Option<Supervisor>,
     panic: Option<KernelPanic>,
@@ -685,62 +702,54 @@ impl KernelRun {
                         .map_err(OsError::Sim)?;
                 }
             }
-            // Hook-free user-mode stretches burst on the fast path:
-            // the burst is fenced at the kernel-text boundary, capped
-            // by the watchdog and slice budgets, and stops at the first
-            // exception dispatch — so every instruction it executes was
-            // fetched from user space, except a possible trailing
-            // kernel entry word when an interrupt dispatched (the same
-            // dispatched-first shape the per-step attribution handles).
-            // A due-but-deferred snapshot point (non-quiescent pipeline,
-            // or a restart waiting out its backoff) pins execution to
-            // the per-step path until the supervisor clears it.
-            if hook.is_none()
-                && self.config.engine == Engine::Fast
-                && self.m.pc() >= klen
-                && !self.m.surprise().supervisor()
-                && !self.m.snapshot_due()
-            {
+            // Hook-free runs burst on the fast path, fenced so that
+            // every instruction a burst executes belongs to one cost
+            // bucket and is charged with one add. A burst never
+            // dispatches an exception and stops before any instruction
+            // the fast engine cannot run; a burst of 0 falls through
+            // to the per-step attribution below.
+            if hook.is_none() && self.config.engine == Engine::Fast {
+                let pc = self.m.pc();
                 let spent = self.m.profile().instructions.saturating_sub(slice_start);
                 let mut cap = budget.saturating_sub(spent).max(1);
-                if let Some(wd_budget) = self.config.watchdog {
-                    if self.st.cur_pid > 0 && (self.st.cur_pid as usize) < self.st.user_spent.len()
-                    {
-                        cap = cap.min(
-                            wd_budget
-                                .saturating_sub(self.st.user_spent[self.st.cur_pid as usize])
-                                .max(1),
-                        );
+                if pc >= klen {
+                    // User mode, fenced at the kernel-text boundary and
+                    // capped by the watchdog budget. The burst refuses a
+                    // due-but-deferred snapshot point (non-quiescent
+                    // pipeline, or a restart waiting out its backoff),
+                    // which pins execution to the per-step path until
+                    // the supervisor clears it.
+                    if !self.m.surprise().supervisor() {
+                        let cur = self.st.cur_pid as usize;
+                        if let (Some(wd_budget), Some(&used)) =
+                            (self.config.watchdog, self.st.user_spent.get(cur))
+                        {
+                            if cur > 0 {
+                                cap = cap.min(wd_budget.saturating_sub(used).max(1));
+                            }
+                        }
+                        let k = self.m.run_fenced(cap, klen, u32::MAX);
+                        if k > 0 {
+                            self.st.cost.user += k;
+                            if let Some(used) = self.st.user_spent.get_mut(cur) {
+                                *used += k;
+                            }
+                            continue;
+                        }
                     }
-                }
-                let exceptions = self.m.profile().exceptions;
-                let k = self.m.run_burst(cap, klen).map_err(OsError::Sim)?;
-                if k > 0 {
-                    let dispatched_first =
-                        self.m.profile().exceptions > exceptions && self.m.pc() == 1;
-                    let user = if dispatched_first { k - 1 } else { k };
-                    self.st.cost.user += user;
-                    if (self.st.cur_pid as usize) < self.st.user_spent.len() {
-                        self.st.user_spent[self.st.cur_pid as usize] += user;
-                    }
-                    if dispatched_first {
-                        // The burst's final step dispatched an interrupt
-                        // and executed kernel word 0 in the same breath.
-                        charge(&mut self.st.cost, bucket_of(&self.sections, klen, 0));
+                } else if self.sup.is_none() {
+                    // Kernel text, fenced at the edges of the section
+                    // holding pc. Supervised runs stay per-step here:
+                    // the supervisor scans for kills at every kernel
+                    // instruction boundary.
+                    let s = self.sections[pc as usize];
+                    let k = self.m.run_fenced(cap, s.start, s.end);
+                    if k > 0 {
+                        charge(&mut self.st.cost, s.bucket, k);
                         self.st.pid_stale = true;
+                        continue;
                     }
                 }
-                if self.m.halted() {
-                    let halted_for_good = match self.sup.as_mut() {
-                        Some(s) => !s.on_halt(&mut self.m, &mut self.st),
-                        None => true,
-                    };
-                    if halted_for_good {
-                        self.finish();
-                        return Ok(true);
-                    }
-                }
-                continue;
             }
             let pc = self.m.pc();
             let sup_before = self.m.surprise().supervisor();
@@ -751,16 +760,17 @@ impl KernelRun {
             if self.m.profile().instructions > instructions {
                 let dispatched_first = faulted && self.m.pc() == 1;
                 let executed = if dispatched_first { 0 } else { pc };
-                let b = bucket_of(&self.sections, klen, executed);
-                if b == Bucket::User {
+                if executed >= klen {
                     self.st.cost.user += 1;
-                    if (self.st.cur_pid as usize) < self.st.user_spent.len() {
-                        self.st.user_spent[self.st.cur_pid as usize] += 1;
+                    if let Some(used) = self.st.user_spent.get_mut(self.st.cur_pid as usize) {
+                        *used += 1;
                     }
                 } else {
-                    charge(&mut self.st.cost, b);
-                }
-                if executed < klen {
+                    charge(
+                        &mut self.st.cost,
+                        self.sections[executed as usize].bucket,
+                        1,
+                    );
                     self.st.pid_stale = true;
                 }
             }
@@ -956,6 +966,40 @@ mod tests {
         for (name, _) in SECTIONS {
             assert!(k.symbol(name).is_some(), "kernel.s defines `{name}:`");
         }
+    }
+
+    /// Every kernel word maps to exactly one section, sections tile the
+    /// text without gaps, and each label's section carries its bucket —
+    /// the table a fenced kernel burst charges with one add.
+    #[test]
+    fn section_table_tiles_kernel_text() {
+        let k = kernel_program();
+        let klen = k.len() as u32;
+        let table = section_table(
+            SECTIONS
+                .iter()
+                .map(|&(name, b)| (k.symbol(name).unwrap(), b))
+                .collect(),
+            klen,
+        );
+        assert_eq!(table.len(), klen as usize);
+        for (pc, s) in table.iter().enumerate() {
+            assert!((s.start..s.end).contains(&(pc as u32)), "pc {pc}");
+            assert_eq!(table[s.start as usize].start, s.start);
+            assert_eq!(table[s.end as usize - 1].end, s.end);
+        }
+        for (name, b) in SECTIONS {
+            let s = table[k.symbol(name).unwrap() as usize];
+            assert_eq!(s.start, k.symbol(name).unwrap(), "{name} starts a section");
+            assert_eq!(s.bucket, b, "{name} bucket");
+        }
+        // Words before the first label would belong to `dispatch`.
+        let t = section_table(vec![(4, Bucket::Tick)], 6);
+        assert_eq!(
+            (t[0].start, t[0].end, t[0].bucket),
+            (0, 4, Bucket::SaveRestore)
+        );
+        assert_eq!((t[5].start, t[5].end, t[5].bucket), (4, 6, Bucket::Tick));
     }
 
     #[test]

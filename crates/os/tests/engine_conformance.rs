@@ -3,9 +3,12 @@
 //! reference run — same per-process outputs and statuses, same kernel
 //! counters, same instruction total, same systems-cost attribution,
 //! same console interleaving, same watchdog kills. The fast path bursts
-//! through user-mode stretches and falls back to per-step execution in
-//! kernel text, so this equality exercises the burst/step seam at every
-//! timer slice, syscall, and page fault.
+//! through user-mode stretches fenced at the kernel-text boundary and
+//! through kernel text fenced at the edges of one cost section, falling
+//! back to single reference steps wherever the fast engine stops, so
+//! this equality exercises the burst/step seam at every timer slice,
+//! syscall, page fault, and section boundary — and, with tiny slice
+//! budgets, at slice cuts that land inside kernel sections.
 
 use mips_hll::{compile_mips, CodegenOptions};
 use mips_os::{Engine, Kernel, KernelConfig, ProcStatus, RunReport};
@@ -115,4 +118,63 @@ fn watchdog_kill_lands_on_the_same_boundary() {
         .iter()
         .any(|p| matches!(p.status, ProcStatus::Killed(_))));
     assert_eq!(fast, reference, "watchdog: full report");
+}
+
+/// Drives [`mips_os::KernelRun::run_slice`] with a fixed small budget
+/// until the kernel finishes, counting the slices it took.
+fn run_sliced(config: KernelConfig, names: &[&str], budget: u64) -> (RunReport, u64) {
+    let mut k = Kernel::with_config(config);
+    for n in names {
+        k.spawn(n, build(mips_workloads::get(n).unwrap().source))
+            .unwrap();
+    }
+    let mut run = k.start().unwrap();
+    let mut slices = 1;
+    while !run.run_slice(budget, None).unwrap() {
+        slices += 1;
+    }
+    (run.report(), slices)
+}
+
+/// Tiny odd slice budgets cut runs inside kernel sections, so fenced
+/// kernel bursts end on the budget mid-section and resume there on
+/// the next slice: the sliced fast report, cost included, must equal
+/// the sliced reference report and the unsliced one.
+#[test]
+fn tiny_slice_budgets_cut_kernel_sections_identically() {
+    let config = KernelConfig {
+        time_slice: 2_000,
+        frames: 8,
+        ..KernelConfig::default()
+    };
+    let names = ["fib", "sort"];
+    let whole = run(
+        KernelConfig {
+            engine: Engine::Reference,
+            ..config.clone()
+        },
+        &names,
+    );
+    for budget in [1u64, 7, 33] {
+        let (fast, fast_slices) = run_sliced(
+            KernelConfig {
+                engine: Engine::Fast,
+                ..config.clone()
+            },
+            &names,
+            budget,
+        );
+        let (reference, ref_slices) = run_sliced(
+            KernelConfig {
+                engine: Engine::Reference,
+                ..config.clone()
+            },
+            &names,
+            budget,
+        );
+        assert_eq!(fast.cost, reference.cost, "budget {budget}: systems cost");
+        assert_eq!(fast, reference, "budget {budget}: full report");
+        assert_eq!(fast_slices, ref_slices, "budget {budget}: slice count");
+        assert_eq!(fast, whole, "budget {budget}: slicing is invisible");
+    }
 }

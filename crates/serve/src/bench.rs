@@ -227,6 +227,21 @@ fn parse_number(json: &str, key: &str) -> Result<f64, String> {
         .map_err(|e| format!("malformed {key} {rest:?}: {e}"))
 }
 
+/// The worker-thread count an artifact's `measured` block was taken
+/// on. `fleet_gate` re-measures at the baseline's count, because
+/// jobs/sec from a different count is a different quantity.
+///
+/// # Errors
+///
+/// A message if the field is missing or not a whole number.
+pub fn measured_threads(json: &str) -> Result<usize, String> {
+    let t = parse_number(json, "threads")?;
+    if t < 1.0 || t.fract() != 0.0 {
+        return Err(format!("malformed threads {t}"));
+    }
+    Ok(t as usize)
+}
+
 /// Gate verdict across the artifact's two contracts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetVerdict {
@@ -270,8 +285,10 @@ impl fmt::Display for FleetVerdict {
 ///
 /// # Errors
 ///
-/// A message if either artifact is not a [`FLEET_SCHEMA`] document or
-/// lacks a gated field.
+/// A message if either artifact is not a [`FLEET_SCHEMA`] document,
+/// lacks a gated field, or was measured on a different thread count
+/// than the baseline (the throughput floor would then move with the
+/// host's core count instead of catching a per-job slowdown).
 pub fn gate(
     baseline_json: &str,
     current_json: &str,
@@ -292,6 +309,14 @@ pub fn gate(
         parse_number(baseline_json, "jobs_per_sec").map_err(|e| format!("baseline: {e}"))?;
     let current_jps =
         parse_number(current_json, "jobs_per_sec").map_err(|e| format!("current: {e}"))?;
+    let base_threads = measured_threads(baseline_json).map_err(|e| format!("baseline: {e}"))?;
+    let cur_threads = measured_threads(current_json).map_err(|e| format!("current: {e}"))?;
+    if base_threads != cur_threads {
+        return Err(format!(
+            "measured on {cur_threads} threads, baseline on {base_threads}: \
+             jobs/sec is only comparable at the same thread count"
+        ));
+    }
     let scaling_match = base_det == cur_det;
     let jps_floor = baseline_jps * (1.0 - tolerance);
     Ok(FleetVerdict {
@@ -376,5 +401,20 @@ mod tests {
         assert!(!v.pass);
         // Non-artifacts are errors, not verdicts.
         assert!(gate(&base, "{}", GATE_TOLERANCE).is_err());
+    }
+
+    #[test]
+    fn the_gate_refuses_a_different_thread_count() {
+        let base = sample().to_json();
+        assert_eq!(measured_threads(&base), Ok(4));
+        let mut other = sample();
+        other.measured.threads = 1;
+        let err = gate(&base, &other.to_json(), GATE_TOLERANCE).unwrap_err();
+        assert!(err.contains("1 threads, baseline on 4"), "{err}");
+        // Even a faster run on more threads is not a verdict.
+        other.measured.threads = 8;
+        other.measured.jobs_per_sec = 1000.0;
+        assert!(gate(&base, &other.to_json(), GATE_TOLERANCE).is_err());
+        assert!(measured_threads("{}").is_err());
     }
 }

@@ -14,7 +14,9 @@
 //!   real behavior change;
 //! * the 4-worker deterministic **speedup floor** (≥2x) must hold;
 //! * measured **jobs/sec** may not collapse below the loose tolerance
-//!   of the baseline's ([`GATE_TOLERANCE`]);
+//!   of the baseline's ([`GATE_TOLERANCE`]), measured on the baseline's
+//!   own worker-thread count (artifacts from different counts are a
+//!   parse error, not a verdict);
 //! * `--replay` runs the standard mix serially and on 8 workers and
 //!   byte-compares every result — the determinism contract end to end.
 //!
@@ -22,7 +24,9 @@
 //! parse error.
 
 use mips_fleet::{run_ordered, run_serial, FleetResult};
-use mips_serve::{gate, measure_fleet, standard_mix, BENCH_JOBS, BENCH_SEED, GATE_TOLERANCE};
+use mips_serve::{
+    gate, measure_fleet, measured_threads, standard_mix, BENCH_JOBS, BENCH_SEED, GATE_TOLERANCE,
+};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: fleet_gate BASELINE.json | fleet_gate --compare BASELINE.json CURRENT.json | fleet_gate --replay";
@@ -100,7 +104,14 @@ fn main() -> ExitCode {
                 Ok(b) => b,
                 Err(e) => return e,
             };
-            let bench = measure_fleet(BENCH_SEED, BENCH_JOBS, 0);
+            let threads = match measured_threads(&b) {
+                Ok(t) => t,
+                Err(e) => {
+                    eprintln!("fleet_gate: baseline: {e}");
+                    return ExitCode::from(2);
+                }
+            };
+            let bench = measure_fleet(BENCH_SEED, BENCH_JOBS, threads);
             println!("{bench}");
             verdict(&b, &bench.to_json())
         }

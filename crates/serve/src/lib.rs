@@ -29,8 +29,8 @@ pub mod mix;
 
 pub use batch::{run_batch, run_open_loop, BatchReport, DEFAULT_CAPACITY};
 pub use bench::{
-    bench_from_batch, deterministic_part, gate, measure_fleet, scaling_curve, FleetBench,
-    FleetVerdict, Measured, ScalingPoint, BENCH_JOBS, BENCH_SEED, FLEET_SCHEMA, GATE_TOLERANCE,
-    SCALING_WORKERS, SPEEDUP_FLOOR_AT_4,
+    bench_from_batch, deterministic_part, gate, measure_fleet, measured_threads, scaling_curve,
+    FleetBench, FleetVerdict, Measured, ScalingPoint, BENCH_JOBS, BENCH_SEED, FLEET_SCHEMA,
+    GATE_TOLERANCE, SCALING_WORKERS, SPEEDUP_FLOOR_AT_4,
 };
 pub use mix::{mix_pool, standard_mix, MIX_WORKLOADS};

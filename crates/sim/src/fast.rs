@@ -27,10 +27,21 @@
 //! replicated bit for bit, and the elision is visible only through the
 //! host-side [`Machine::cert_elided`] statistic.
 //!
-//! Anything outside the common case **bails to the reference
-//! interpreter** *before* performing any side effect, so one
-//! `step()` replays the instruction with full fidelity and the
-//! trajectory is bit-identical to a pure reference run. Bail triggers:
+//! Every burst enters through one function, [`Machine::run_fenced`]:
+//! it runs chunks while the pc stays inside a caller-chosen window
+//! `[lo, hi)`, tested in the hot loop with a single wrapping compare.
+//! A certified block that would run past `hi` is refused, so a burst
+//! never executes an instruction fetched outside its window. The OS
+//! runtime fences user bursts at the kernel-text boundary and kernel
+//! bursts at the edges of one cost section, which keeps its per-section
+//! attribution exact with one add per burst.
+//!
+//! Anything outside the common case **stops the burst** *before*
+//! performing any side effect, so the caller's one `step()` replays the
+//! instruction with full fidelity and the trajectory is bit-identical
+//! to a pure reference run. The fast engine itself never steps the
+//! reference interpreter and never dispatches an exception. Stop
+//! triggers:
 //!
 //! * slow opcodes: `trap`, the special-register file, `rfe`, `halt`,
 //!   unresolved (unlinked) targets;
@@ -38,9 +49,13 @@
 //!   byte access on the word machine, ALU overflow with the trap
 //!   enabled, a runaway pc;
 //! * any access that lands in a device window (MMIO has side effects);
-//! * whole-run fallbacks: [`crate::MachineConfig::check_hazards`]
-//!   (hazard recording is per-step by definition), pending DMA
-//!   transfers, and a timer tick due at the current boundary.
+//! * a pc outside the window;
+//! * whole-run fallbacks, under which `run_fenced` returns 0 without
+//!   executing anything: the [`Engine::Reference`] engine,
+//!   [`crate::MachineConfig::check_hazards`] (hazard recording is
+//!   per-step by definition), pending DMA transfers, a timer tick due
+//!   at the current boundary, a due snapshot point, the step limit
+//!   reached, and a pending interrupt with interrupts enabled.
 //!
 //! The conformance contract — identical registers, memory, output,
 //! profile counters, and [`SimError`]s at every instruction-count
@@ -49,7 +64,6 @@
 //! and chaos-level suites).
 
 use crate::error::SimError;
-use crate::except::Cause;
 use crate::machine::{Machine, PendingBranch};
 use mips_core::delay::{BRANCH_DELAY, INDIRECT_DELAY};
 use mips_core::word::{extract_byte, insert_byte};
@@ -345,8 +359,8 @@ impl Machine {
     /// dispatches. Uses the selected [`Engine`]; on
     /// [`Engine::Reference`] this is exactly a counted `step()` loop.
     /// Returns the number of instructions executed. Note that a
-    /// dispatch-only boundary (interrupt taken, runaway-pc address
-    /// error) executes zero instructions and does not count toward `n`.
+    /// dispatch-only boundary (runaway-pc address error) executes zero
+    /// instructions and does not count toward `n`.
     ///
     /// # Errors
     ///
@@ -355,97 +369,89 @@ impl Machine {
         let start = self.profile.instructions;
         let goal = start.saturating_add(n);
         while !self.halted && self.profile.instructions < goal && !self.snapshot_due() {
-            self.run_burst(goal - self.profile.instructions, 0)?;
+            if self.run_fenced(goal - self.profile.instructions, 0, u32::MAX) == 0 {
+                self.step()?;
+            }
         }
         Ok(self.profile.instructions - start)
     }
 
-    /// Runs up to `n` more instructions, stopping early at the first
-    /// exception dispatch or as soon as control reaches a pc below
-    /// `fence` (pass 0 for no fence). This is the OS-runtime entry
-    /// point: a kernel can batch a user process's time slice and still
-    /// observe every kernel entry at an instruction boundary. Returns
-    /// the number of instructions executed.
+    /// Runs up to `n` more instructions on the fast engine while the pc
+    /// stays inside the window `[lo, hi)`, `lo <= hi`. Returns the number of instructions executed; the machine then
+    /// sits at the boundary before the first instruction that is
+    /// outside the window or needs the reference interpreter.
     ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run_burst(&mut self, n: u64, fence: u32) -> Result<u64, SimError> {
+    /// This is the one fast entry point: [`Machine::run_steps`] and the
+    /// OS runtime both call it and follow a 0 with one [`Machine::step`].
+    /// It never steps the reference interpreter and never dispatches an
+    /// exception, so every instruction it counts was fetched from inside
+    /// the window — a host can attribute the whole burst to the window
+    /// with one add. It returns 0 without executing anything whenever a
+    /// whole-run fallback holds (see the module docs) or the machine has
+    /// halted.
+    pub fn run_fenced(&mut self, n: u64, lo: u32, hi: u32) -> u64 {
+        if self.engine == Engine::Reference || self.cfg.check_hazards || self.halted {
+            return 0;
+        }
         let start = self.profile.instructions;
         let goal = start.saturating_add(n);
-        let exc0 = self.profile.exceptions;
-        while !self.halted
-            && self.profile.instructions < goal
-            && self.profile.exceptions == exc0
-            && self.pc >= fence
-            && !self.snapshot_due()
-        {
-            // Per-step fidelity cases: the reference engine was asked
-            // for; hazard recording wants every boundary; DMA can steal
-            // any free cycle; a due timer tick must fire inside
-            // `step()`'s own boundary sample (also covers catch-up when
-            // the counter has run past `next_fire`).
-            let timer_due = self
-                .timer
-                .as_ref()
-                .is_some_and(|t| t.next_fire <= self.profile.instructions);
-            if self.engine == Engine::Reference
-                || self.cfg.check_hazards
-                || self.mem.dma_pending() > 0
-                || timer_due
-            {
-                self.step()?;
-                continue;
-            }
-            if self.profile.instructions >= self.cfg.step_limit {
-                return Err(SimError::StepLimit {
-                    limit: self.cfg.step_limit,
-                });
-            }
+        let span = hi.wrapping_sub(lo);
+        // Taken out of `self` for the burst so the hot loop borrows it
+        // without reference counting; put back before returning.
+        let image = match self.fast.take() {
+            Some(f) => f,
+            None => Arc::new(FastProgram::predecode(&self.program, &self.refclass)),
+        };
+        loop {
+            let now = self.profile.instructions;
+            // Whole-run fallbacks, re-checked at every chunk boundary:
+            // DMA can steal any free cycle; a due timer tick must fire
+            // inside `step()`'s own boundary sample (also covers
+            // catch-up when the counter has run past `next_fire`); a
+            // due snapshot point and the step limit are the caller's to
+            // observe; and an accepted interrupt dispatches.
             // Interrupts are sampled here, once per chunk boundary: the
-            // line only changes through device/MMIO traffic, `rfe`, or
-            // a timer tick — all of which end a chunk.
-            if self.surprise.int_enable() && self.interrupt_line() {
-                self.dispatch_exception(Cause::Interrupt, 0, true)?;
+            // line only changes through device/MMIO traffic, `rfe`, or a
+            // timer tick — all of which end a chunk.
+            if now >= goal
+                || now >= self.cfg.step_limit
+                || self.mem.dma_pending() > 0
+                || self.timer.as_ref().is_some_and(|t| t.next_fire <= now)
+                || self.snapshot_due()
+                || (self.surprise.int_enable() && self.interrupt_line())
+                || self.pc.wrapping_sub(lo) >= span
+            {
                 break;
             }
-            let image = match &self.fast {
-                Some(f) => Arc::clone(f),
-                None => {
-                    let f = Arc::new(FastProgram::predecode(&self.program, &self.refclass));
-                    self.fast = Some(Arc::clone(&f));
-                    f
-                }
-            };
             // The chunk ends at the next armed event, so the hot loop
             // never needs to sample the timer or the step limit.
-            let mut chunk = (goal - self.profile.instructions)
-                .min(self.cfg.step_limit - self.profile.instructions)
-                .min(FAST_CHUNK);
+            let mut chunk = (goal - now).min(self.cfg.step_limit - now).min(FAST_CHUNK);
             if let Some(t) = &self.timer {
-                chunk = chunk.min(t.next_fire - self.profile.instructions);
+                chunk = chunk.min(t.next_fire - now);
             }
             // An armed snapshot point bounds the chunk the same way:
             // the boundary lands exactly on `at`, never inside a chunk.
             if let Some(at) = self.snap_request {
-                chunk = chunk.min(at - self.profile.instructions);
+                chunk = chunk.min(at - now);
             }
-            if self.run_chunk(&image, chunk, fence) {
+            if self.run_chunk(&image, chunk, lo, span) {
                 // The next instruction needs full fidelity: a slow
                 // opcode, a fault, a device access, or a runaway pc.
-                // Nothing was committed for it yet, so one reference
-                // step replays it exactly.
-                self.step()?;
+                // Nothing was committed for it yet, so the caller's
+                // reference step replays it exactly.
+                break;
             }
         }
-        Ok(self.profile.instructions - start)
+        self.fast = Some(image);
+        self.profile.instructions - start
     }
 
     /// Executes up to `n` predecoded instructions with no boundary
-    /// checks. Returns true when it stopped on an instruction that
-    /// needs the reference interpreter (machine state is still at the
-    /// boundary *before* that instruction).
-    fn run_chunk(&mut self, image: &FastProgram, n: u64, fence: u32) -> bool {
+    /// checks, stopping early when the pc leaves the window of `span`
+    /// words starting at `lo`. Returns true when it stopped on an
+    /// instruction that needs the reference interpreter (machine state
+    /// is still at the boundary *before* that instruction).
+    fn run_chunk(&mut self, image: &FastProgram, n: u64, lo: u32, span: u32) -> bool {
         // Hoisted once per chunk: every instruction that can change
         // these (special-register writes, `rfe`, MMIO attach) is a slow
         // op or a device access, both of which end the chunk.
@@ -454,7 +460,8 @@ impl Machine {
         let map_on = self.surprise.map_enable();
         let mut left = n;
         while left > 0 {
-            if self.pc < fence {
+            let off = self.pc.wrapping_sub(lo);
+            if off >= span {
                 return false;
             }
             // A certificate at this pc whose preconditions hold lets the
@@ -462,10 +469,12 @@ impl Machine {
             // pipeline must be empty of shadow state: a pending branch
             // would redirect mid-block, and an in-flight load would make
             // the first instruction observe pre-commit state the proof
-            // did not model.
+            // did not model. A block that would run past the window's
+            // end is refused, so the fence stays exact.
             if self.pending.is_empty() && self.load_in_flight.is_none() {
                 if let Some(cert) = image.cert_at(self.pc) {
                     if cert.len as u64 <= left
+                        && cert.len <= span - off
                         && (!cert.can_ovf || !ovf_on)
                         && (!cert.has_mem || self.cert_mem_ok(cert, dev_floor, map_on))
                     {

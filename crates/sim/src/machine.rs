@@ -330,11 +330,11 @@ impl Machine {
     }
 
     /// Arms a snapshot point at absolute instruction count `at`: the
-    /// batched entry points ([`Machine::run_steps`] / `run_burst`) stop
-    /// at that boundary, and the fast engine caps its chunks so the
-    /// boundary lands exactly (bailing to reference steps once due, the
-    /// same pattern as a due timer tick). The per-step [`Machine::step`]
-    /// is unaffected. Call [`Machine::snapshot`] at the boundary, then
+    /// batched entry points ([`Machine::run_steps`] /
+    /// [`Machine::run_fenced`]) stop at that boundary, and the fast
+    /// engine caps its chunks so the boundary lands exactly (returning
+    /// to reference steps once due, the same pattern as a due timer
+    /// tick). The per-step [`Machine::step`] is unaffected. Call [`Machine::snapshot`] at the boundary, then
     /// re-arm or [`Machine::disarm_snapshot`].
     pub fn arm_snapshot(&mut self, at: u64) {
         self.snap_request = Some(at);
@@ -360,7 +360,7 @@ impl Machine {
     }
 
     /// Selects the execution engine used by [`Machine::run`],
-    /// [`Machine::run_steps`], and [`Machine::run_burst`]. The per-step
+    /// [`Machine::run_steps`], and [`Machine::run_fenced`]. The per-step
     /// [`Machine::step`] is always the reference interpreter.
     pub fn set_engine(&mut self, engine: Engine) {
         self.engine = engine;

@@ -3,7 +3,8 @@
 //! instruction boundary as on the reference interpreter — a timer tick
 //! due right after a chunk's last instruction, an interrupt accepted
 //! mid-shadow, a step limit exhausted at a boundary, and a halt sitting
-//! next to a packed pair or inside a delay shadow.
+//! next to a packed pair or inside a delay shadow — plus the window
+//! semantics of the one fast entry point, [`Machine::run_fenced`].
 
 use mips_asm::assemble;
 use mips_core::{
@@ -140,19 +141,21 @@ fn starvation_period_is_conformant_too() {
 }
 
 /// An interrupt raised while an indirect jump's two shadow slots are
-/// pending: the fast engine's boundary sample must capture the same
-/// three-address resume chain as the reference interpreter, and the
-/// replay must execute each slot exactly once.
+/// pending: the fenced burst must refuse to start (the dispatch is the
+/// reference step's job), and the step that takes the interrupt must
+/// capture the same three-address resume chain as the reference
+/// interpreter; the replay must execute each slot exactly once.
 #[test]
 fn interrupt_raised_mid_shadow_replays_exactly() {
     let src = "
         handler:
+            nop
             rfe
         main:
             rsp surprise,r1
             or r1,#4,r1
             wsp r1,surprise
-            mvi #10,r4         ; address of `target`
+            mvi #11,r4         ; address of `target`
             jmpi (r4)
             add r5,#1,r5       ; shadow slot 1 (the offender on resume)
             add r6,#1,r6       ; shadow slot 2
@@ -166,6 +169,7 @@ fn interrupt_raised_mid_shadow_replays_exactly() {
     m.set_engine(Engine::Fast);
     let main = m.program().symbol("main").unwrap();
     let target = m.program().symbol("target").unwrap();
+    assert_eq!(target, 11, "the source's `mvi` names this address");
     let slot1 = main + 5;
     m.jump_to(main);
     // Single-instruction bursts position the machine mid-shadow.
@@ -173,11 +177,17 @@ fn interrupt_raised_mid_shadow_replays_exactly() {
         m.run_steps(1).unwrap();
     }
     m.set_irq_line(true);
-    // The burst stops at the dispatch without executing anything.
-    let executed = m.run_burst(1, 0).unwrap();
+    // The fenced burst stops before the boundary: nothing executed,
+    // nothing dispatched.
+    let before = m.profile().clone();
+    assert_eq!(m.run_fenced(1, 0, u32::MAX), 0, "pending interrupt");
+    assert_eq!(m.profile(), &before, "the burst touched nothing");
+    assert_eq!(m.pc(), slot1);
+    // One reference step dispatches and runs the handler's first word.
+    m.step().unwrap();
     m.set_irq_line(false);
-    assert_eq!(executed, 0, "dispatch happens at the boundary");
     assert_eq!(m.profile().exceptions, 1, "interrupt accepted mid-shadow");
+    assert_eq!(m.profile().instructions, before.instructions + 1);
     assert_eq!(
         m.ret_addrs(),
         [slot1, slot1 + 1, target],
@@ -189,6 +199,149 @@ fn interrupt_raised_mid_shadow_replays_exactly() {
     assert_eq!(m.reg(Reg::R7), 1, "indirect target reached");
     assert_eq!(m.reg(Reg::R8), 0, "fall-through after the shadow skipped");
     assert_eq!(m.profile().exceptions, 1, "no spurious replays");
+}
+
+/// `len` straight-line increments of r1, then `halt`: one block the
+/// verifier certifies whole.
+fn straight_line(len: usize) -> mips_core::Program {
+    let mut b = ProgramBuilder::new();
+    for _ in 0..len {
+        b.push(Instr::alu(AluPiece::new(
+            AluOp::Add,
+            Reg::R1.into(),
+            Operand::Small(1),
+            Reg::R1,
+        )));
+    }
+    b.push(Instr::Halt);
+    b.finish().unwrap()
+}
+
+/// The window's upper edge is exact: a burst stops on the boundary
+/// before `hi` with the same state the reference engine has there, and
+/// a burst whose pc starts outside the window runs nothing.
+#[test]
+fn fenced_burst_stops_exactly_at_hi() {
+    for hi in [1u32, 7, 19] {
+        let mut fast = Machine::new(straight_line(20));
+        fast.set_engine(Engine::Fast);
+        assert_eq!(fast.run_fenced(1_000, 0, hi), hi as u64, "hi {hi}");
+        assert_eq!(fast.pc(), hi);
+        let mut reference = Machine::new(straight_line(20));
+        for _ in 0..hi {
+            reference.step().unwrap();
+        }
+        assert_agree(&fast, &reference, &format!("fence at {hi}"));
+        // At (or past) the edge nothing more runs.
+        assert_eq!(fast.run_fenced(1_000, 0, hi), 0);
+        assert_eq!(fast.run_fenced(1_000, hi + 1, 40), 0, "pc below lo");
+        assert_eq!(fast.pc(), hi);
+    }
+    // The budget still bounds a burst inside the window.
+    let mut m = Machine::new(straight_line(20));
+    m.set_engine(Engine::Fast);
+    assert_eq!(m.run_fenced(5, 0, u32::MAX), 5);
+    assert_eq!(m.reg(Reg::R1), 5);
+}
+
+/// A certified block that would cross `hi` is refused and the window
+/// runs instruction by instruction; the same block inside the window
+/// runs certified.
+#[test]
+fn certified_blocks_never_cross_hi() {
+    let whole = {
+        let mut m = Machine::new(straight_line(20));
+        m.set_engine(Engine::Fast);
+        assert_eq!(m.run_fenced(1_000, 0, 20), 20);
+        m
+    };
+    assert_eq!(whole.cert_elided(), 20, "the block is certified whole");
+    let mut m = Machine::new(straight_line(20));
+    m.set_engine(Engine::Fast);
+    assert_eq!(m.run_fenced(1_000, 0, 19), 19);
+    assert_eq!(m.cert_elided(), 0, "the block would cross hi");
+    assert_eq!(m.pc(), 19);
+    assert_eq!(m.reg(Reg::R1), 19);
+}
+
+/// Every whole-run fallback makes the burst return 0 without executing
+/// or dispatching anything: the reference engine, a due timer tick,
+/// and a pending interrupt with interrupts enabled.
+#[test]
+fn whole_run_fallbacks_return_zero_without_stepping() {
+    // Reference engine.
+    let mut m = Machine::new(straight_line(20));
+    assert_eq!(m.run_fenced(10, 0, u32::MAX), 0);
+    assert_eq!(m.profile().instructions, 0);
+
+    // A due timer tick: the first burst ends on the tick boundary, the
+    // next refuses to start until a reference step fires it.
+    let mut m = os_machine(&ticking_source());
+    m.set_engine(Engine::Fast);
+    m.attach_timer(5, 0);
+    let main = m.program().symbol("main").unwrap();
+    m.jump_to(main);
+    // `rsp` is a special-register op: one reference step each.
+    while m.profile().instructions < 3 {
+        if m.run_fenced(1, 0, u32::MAX) == 0 {
+            m.step().unwrap();
+        }
+    }
+    assert_eq!(m.run_fenced(100, 0, u32::MAX), 2, "the tick bounds it");
+    let (pc, before) = (m.pc(), m.profile().clone());
+    assert_eq!(m.run_fenced(100, 0, u32::MAX), 0, "timer due");
+    assert_eq!((m.pc(), m.profile()), (pc, &before));
+
+    // A pending interrupt with interrupts enabled.
+    let mut m = os_machine(&ticking_source());
+    m.set_engine(Engine::Fast);
+    m.jump_to(main);
+    while m.profile().instructions < 3 {
+        if m.run_fenced(1, 0, u32::MAX) == 0 {
+            m.step().unwrap();
+        }
+    }
+    m.set_irq_line(true);
+    let (pc, before) = (m.pc(), m.profile().clone());
+    assert_eq!(m.run_fenced(100, 0, u32::MAX), 0, "interrupt pending");
+    assert_eq!((m.pc(), m.profile()), (pc, &before));
+    m.set_irq_line(false);
+    assert!(m.run_fenced(100, 0, u32::MAX) > 0, "line dropped: runs");
+}
+
+/// Driving a ticking program to its halt with fenced bursts and single
+/// reference steps: no burst ever changes `profile.exceptions` (every
+/// dispatch happens in a step), and the end state equals the reference
+/// run's.
+#[test]
+fn fenced_bursts_never_dispatch() {
+    for period in [17u64, 64] {
+        let mut fast = os_machine(&ticking_source());
+        fast.set_engine(Engine::Fast);
+        fast.attach_timer(period, 0);
+        let main = fast.program().symbol("main").unwrap();
+        fast.jump_to(main);
+        let mut bursts = 0;
+        while !fast.halted() {
+            let exceptions = fast.profile().exceptions;
+            let k = fast.run_fenced(u64::MAX, 0, u32::MAX);
+            assert_eq!(fast.profile().exceptions, exceptions, "period {period}");
+            if k == 0 {
+                fast.step().unwrap();
+            } else {
+                bursts += 1;
+            }
+        }
+        assert!(
+            bursts > 0 && fast.profile().exceptions > 0,
+            "period {period}"
+        );
+        let mut reference = os_machine(&ticking_source());
+        reference.attach_timer(period, 0);
+        reference.jump_to(main);
+        reference.run().unwrap();
+        assert_agree(&fast, &reference, &format!("fenced drive, period {period}"));
+    }
 }
 
 fn forever_loop() -> mips_core::Program {
